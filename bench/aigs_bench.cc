@@ -238,13 +238,14 @@ int Main(int argc, char** argv) {
     std::printf("\n");
   }
   const int emit_code = EmitResults(results, json_path, csv_path);
+  // The cost guard runs even when a suite failed (a wall-clock gate must
+  // not hide a cost regression); it then checks only the rows that ran,
+  // so the partial set adds no "was not run" noise.
+  const int baseline_code =
+      CheckBaseline(results, baseline_path, /*require_complete=*/code == 0);
   if (code != 0) {
-    // A failed suite already produced a real error; a guard run over the
-    // partial result set would only bury it in bogus "was not run" noise.
     return code;
   }
-  const int baseline_code =
-      CheckBaseline(results, baseline_path, /*require_complete=*/true);
   return emit_code != 0 ? emit_code : baseline_code;
 }
 

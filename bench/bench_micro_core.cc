@@ -6,7 +6,6 @@
 #include "core/aigs.h"
 #include "core/batched_greedy.h"
 #include "core/middle_point.h"
-#include "core/reach_weight_index.h"
 #include "core/split_weight_index.h"
 #include "core/tree_weight_index.h"
 #include "data/synthetic_catalog.h"
@@ -44,9 +43,12 @@ const Hierarchy& TreeHierarchy() {
   return *h;
 }
 
+// Dense closure rows: the MaskedWeightedSum rows below read ClosureRow().
 const Hierarchy& DagHierarchy() {
   static const Hierarchy* h = [] {
-    auto built = Hierarchy::Build(GenerateCatalogDag(SmallDagParams()));
+    ReachabilityOptions dense;
+    dense.closure = ReachabilityOptions::Closure::kDense;
+    auto built = Hierarchy::Build(GenerateCatalogDag(SmallDagParams()), dense);
     AIGS_CHECK(built.ok());
     return new Hierarchy(*std::move(built));
   }();
@@ -88,15 +90,6 @@ void BM_SubtreeWeightInit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubtreeWeightInit);
-
-void BM_ReachWeightInit(benchmark::State& state) {
-  const Hierarchy& h = DagHierarchy();
-  for (auto _ : state) {
-    ReachWeightBase base(h, DagDist().weights());
-    benchmark::DoNotOptimize(base.Total());
-  }
-}
-BENCHMARK(BM_ReachWeightInit);
 
 void BM_MiddlePointNaiveScan(benchmark::State& state) {
   const Hierarchy& h = DagHierarchy();

@@ -44,9 +44,9 @@ struct ScenarioSpec {
   /// in [lo, hi] — arbitrary-price CAIGS, guardable in the baseline).
   std::string cost_model = "unit";
   /// auto | dense | compressed — reachability storage for the dataset's
-  /// hierarchy. auto keeps the defaults (Euler on trees, dense closure at
-  /// paper scale); dense/compressed force that closure storage on every
-  /// shape, trees included, so the backend=closure|compressed policy
+  /// hierarchy. auto keeps the defaults (Euler on trees, compressed
+  /// closure rows on DAGs); dense/compressed force that closure storage on
+  /// every shape, trees included, so the backend=closure|compressed policy
   /// options have storage to run on.
   std::string reach = "auto";
   /// exact | noisy:p | persistent:p — the oracle answering the questions.

@@ -2456,16 +2456,10 @@ Status BigcatalogMillion(SuiteContext& ctx) {
   const double gen_ms = gen_timer.ElapsedMillis();
 
   WallTimer build_timer;
-  auto built = Hierarchy::Build(std::move(g));  // kAuto: must go compressed
+  auto built = Hierarchy::Build(std::move(g));  // default: compressed rows
   AIGS_RETURN_NOT_OK(built.status());
   const Hierarchy h = *std::move(built);
   const double build_ms = build_timer.ElapsedMillis();
-  if (h.reach().storage() !=
-      ReachabilityIndex::Storage::kCompressedClosure) {
-    return Status::Internal(
-        "kAuto picked dense storage for a " + FormatWithCommas(n) +
-        "-node DAG — the compress threshold is not engaging");
-  }
 
   const std::size_t index_bytes = h.reach().MemoryBytes();
   const U128 dense_bytes = ReachabilityIndex::DenseClosureBytes(n);

@@ -195,30 +195,31 @@ class WigsTreeSession final : public SearchSession {
 
 // ---- DAG variant -----------------------------------------------------------
 
-// Generalizes the tree strategy to DAGs with the candidate counts maintained
-// by DagSearchState (unit weights):
-//  * kChildScan — probe the current anchor's children in decreasing
+// Generalizes the tree strategy to DAGs with the candidate counts
+// |R(v) ∩ C| a SplitWeightIndex overlay maintains:
+//  * kChildScan — probe the current root's children in decreasing
 //    alive-count order, one question each (the light-children scan);
-//  * kBinarySearch — once a child answers yes, build the count-heaviest
-//    chain below it and binary-search for the deepest yes. Chains are
-//    directed paths, so reach() answers along them are prefix-monotone.
-// Answers update the candidate sub-DAG eagerly in both phases.
+//  * kBinarySearch — once a child answers yes (and becomes the root), build
+//    the count-heaviest chain below it and binary-search for the deepest
+//    yes. Chains are directed paths, so reach() answers along them are
+//    prefix-monotone.
+// Answers update the candidate sub-DAG eagerly in both phases; every yes
+// moves the index root to the answered node, which is the scan's anchor.
 class WigsDagSession final : public SearchSession {
  public:
-  explicit WigsDagSession(const ReachWeightBase& unit_base)
-      : state_(unit_base), anchor_(state_.root()) {}
+  explicit WigsDagSession(const SplitWeightBase& base) : index_(base) {}
 
   Query PlanQuestion() const override {
-    if (state_.AliveCount() == 1) {
-      return Query::Done(state_.Target());
+    if (index_.AliveCount() == 1) {
+      return Query::Done(index_.Target());
     }
     if (phase_ == Phase::kBinarySearch && lo_ < hi_) {
       return Query::ReachQuery(chain_[Mid()]);
     }
     phase_ = Phase::kChildScan;
-    const NodeId probe = MaxCountAliveChild(anchor_);
+    const NodeId probe = MaxCountAliveChild(index_.root());
     // AliveCount() > 1 plus the downward-closure invariant guarantee the
-    // anchor still has an alive child.
+    // root still has an alive child.
     AIGS_CHECK(probe != kInvalidNode);
     return Query::ReachQuery(probe);
   }
@@ -231,11 +232,10 @@ class WigsDagSession final : public SearchSession {
     }
     if (phase_ == Phase::kChildScan) {
       if (yes) {
-        state_.ApplyYes(q);
-        anchor_ = q;
+        index_.ApplyYes(q);
         StartBinarySearch();
       } else {
-        state_.ApplyNo(q);  // next Next() probes the next-best child
+        index_.ApplyNo(q);  // next Next() probes the next-best child
       }
       return;
     }
@@ -243,11 +243,10 @@ class WigsDagSession final : public SearchSession {
     const std::ptrdiff_t mid = static_cast<std::ptrdiff_t>(Mid());
     AIGS_DCHECK(chain_[static_cast<std::size_t>(mid)] == q);
     if (yes) {
-      state_.ApplyYes(q);
-      anchor_ = q;
+      index_.ApplyYes(q);
       lo_ = mid;
     } else {
-      state_.ApplyNo(q);
+      index_.ApplyNo(q);
       hi_ = mid - 1;
     }
     if (lo_ >= hi_) {
@@ -255,64 +254,19 @@ class WigsDagSession final : public SearchSession {
     }
   }
 
-  // Observed fold (cross-epoch migration): classify R(q) ∩ C through the
-  // reachability index (like the greedy DAG policy — the appliers require
-  // an alive q) and fold informative answers into the candidate state,
-  // then drop back to the child scan: any in-flight chain was built for
-  // the pre-fold candidate set and is rebuilt from the next plan.
+  // Observed fold (cross-epoch migration): fold the answer into the
+  // candidate state, then drop back to the child scan unless it was an
+  // already-known no — any in-flight chain was built for the pre-fold
+  // candidate set and is rebuilt from the next plan.
   Status ApplyObservedStep(const TranscriptStep& step) override {
     if (step.kind != Query::Kind::kReach) {
       return SearchSession::ApplyObservedStep(step);
     }
-    const Hierarchy& h = state_.base().hierarchy();
-    const NodeId q = step.nodes[0];
-    if (q >= h.NumNodes()) {
-      return Status::OutOfRange("observed question node " +
-                                std::to_string(q) +
-                                " outside the hierarchy");
-    }
-    const ReachabilityIndex& reach = h.reach();
-    std::size_t inside = 0;
-    state_.candidates().bits().ForEachSetBit([&](std::size_t raw) {
-      inside += reach.Reaches(q, static_cast<NodeId>(raw)) ? 1 : 0;
-    });
-    const std::size_t alive = state_.AliveCount();
-    if (step.yes) {
-      if (inside == 0) {
-        return Status::InvalidArgument(
-            "observed yes for node " + std::to_string(q) +
-            " would eliminate every candidate (inconsistent transcript)");
-      }
-      if (!state_.IsAlive(q)) {
-        if (inside == alive) {
-          return Status::OK();  // no information; keep the alive root
-        }
-        return Status::Unimplemented(
-            "observed yes for eliminated node " + std::to_string(q) +
-            " still splits the candidates");
-      }
-      if (q != state_.root()) {
-        state_.ApplyYes(q);
-        anchor_ = q;
-      }
+    const std::size_t alive_before = index_.AliveCount();
+    AIGS_RETURN_NOT_OK(index_.TryApplyObservedReach(step.nodes[0], step.yes));
+    if (step.yes || index_.AliveCount() != alive_before) {
       phase_ = Phase::kChildScan;
-      return Status::OK();
     }
-    if (inside == 0) {
-      return Status::OK();  // already known
-    }
-    if (inside == alive) {
-      return Status::InvalidArgument(
-          "observed no for node " + std::to_string(q) +
-          " would eliminate every candidate (inconsistent transcript)");
-    }
-    if (!state_.IsAlive(q)) {
-      return Status::Unimplemented(
-          "observed no for eliminated node " + std::to_string(q) +
-          " still splits the candidates");
-    }
-    state_.ApplyNo(q);
-    phase_ = Phase::kChildScan;
     return Status::OK();
   }
 
@@ -325,12 +279,12 @@ class WigsDagSession final : public SearchSession {
 
   NodeId MaxCountAliveChild(NodeId v) const {
     NodeId best = kInvalidNode;
-    Weight best_count = 0;
-    for (const NodeId c : state_.graph().Children(v)) {
-      if (!state_.IsAlive(c)) {
+    std::size_t best_count = 0;
+    for (const NodeId c : index_.hierarchy().graph().Children(v)) {
+      if (!index_.IsAlive(c)) {
         continue;
       }
-      const Weight count = state_.ReachWeight(c);
+      const std::size_t count = index_.ReachCount(c);
       if (best == kInvalidNode || count > best_count) {
         best = c;
         best_count = count;
@@ -339,11 +293,11 @@ class WigsDagSession final : public SearchSession {
     return best;
   }
 
-  // The anchor just answered yes: binary-search the count-heaviest chain
-  // below it (anchor excluded; chain[0] is its heaviest alive child).
+  // The root just answered yes: binary-search the count-heaviest chain
+  // below it (root excluded; chain[0] is its heaviest alive child).
   void StartBinarySearch() {
     chain_.clear();
-    for (NodeId v = MaxCountAliveChild(anchor_); v != kInvalidNode;
+    for (NodeId v = MaxCountAliveChild(index_.root()); v != kInvalidNode;
          v = MaxCountAliveChild(v)) {
       chain_.push_back(v);
     }
@@ -356,8 +310,7 @@ class WigsDagSession final : public SearchSession {
     phase_ = Phase::kBinarySearch;
   }
 
-  DagSearchState state_;
-  NodeId anchor_ = kInvalidNode;
+  SplitWeightIndex index_;
   // Mutable: planning demotes an exhausted binary search to the child scan
   // — a deterministic function of the answers applied so far.
   mutable Phase phase_ = Phase::kChildScan;
@@ -395,11 +348,11 @@ std::unique_ptr<SearchSession> WigsTreePolicy::NewSession() const {
 }
 
 WigsDagPolicy::WigsDagPolicy(const Hierarchy& hierarchy)
-    : unit_base_(hierarchy,
-                 std::vector<Weight>(hierarchy.NumNodes(), Weight{1})) {}
+    : unit_weights_(hierarchy.NumNodes(), Weight{1}),
+      base_(hierarchy, unit_weights_) {}
 
 std::unique_ptr<SearchSession> WigsDagPolicy::NewSession() const {
-  return std::make_unique<WigsDagSession>(unit_base_);
+  return std::make_unique<WigsDagSession>(base_);
 }
 
 std::unique_ptr<Policy> MakeWigsPolicy(const Hierarchy& hierarchy) {

@@ -7,8 +7,8 @@
 //
 // DAG variant: reachability is monotone along any directed chain, so the
 // session repeatedly builds the count-heaviest chain of the alive sub-DAG
-// (child with max |R(c) ∩ C|, maintained incrementally by DagSearchState
-// with unit weights) and binary-searches it, applying each answer eagerly.
+// (child with max |R(c) ∩ C|, read from a SplitWeightIndex overlay) and
+// binary-searches it, applying each answer eagerly.
 //
 // Both variants ignore the target distribution — reproducing the paper's
 // observation that WIGS cost is insensitive to the probability setting
@@ -21,7 +21,7 @@
 
 #include "core/hierarchy.h"
 #include "core/policy.h"
-#include "core/reach_weight_index.h"
+#include "core/split_weight_index.h"
 #include "tree/heavy_path.h"
 
 namespace aigs {
@@ -52,7 +52,10 @@ class WigsDagPolicy : public Policy {
   std::unique_ptr<SearchSession> NewSession() const override;
 
  private:
-  ReachWeightBase unit_base_;  // w ≡ 1: reach weights are candidate counts
+  // The base needs a weight vector; WIGS ignores the distribution and
+  // reads only candidate counts, so every node weighs 1.
+  std::vector<Weight> unit_weights_;
+  SplitWeightBase base_;  // borrows unit_weights_
 };
 
 /// Picks the matching WIGS variant for the hierarchy.

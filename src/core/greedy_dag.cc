@@ -1,138 +1,65 @@
 #include "core/greedy_dag.h"
 
-#include <vector>
-
-#include "util/epoch_marker.h"
-
 namespace aigs {
 namespace {
 
 class GreedyDagSession final : public SearchSession {
  public:
-  GreedyDagSession(const ReachWeightBase& base, bool disable_pruning)
-      : state_(base),
-        disable_pruning_(disable_pruning),
-        visited_(base.hierarchy().NumNodes()) {}
+  GreedyDagSession(const SplitWeightBase& base, bool disable_pruning)
+      : index_(base), disable_pruning_(disable_pruning) {}
 
   Query PlanQuestion() const override {
-    if (state_.AliveCount() == 1) {
-      return Query::Done(state_.Target());
+    if (index_.AliveCount() == 1) {
+      return Query::Done(index_.Target());
     }
     return Query::ReachQuery(SelectQueryNode());
   }
 
   void ApplyReach(NodeId q, bool yes) override {
     if (yes) {
-      state_.ApplyYes(q);
+      index_.ApplyYes(q);
     } else {
-      state_.ApplyNo(q);
+      index_.ApplyNo(q);
     }
   }
 
-  // Observed fold (cross-epoch migration): classify R(q) ∩ C through the
-  // reachability index first — DagSearchState's appliers require an alive
-  // q, which an observed question need not be.
   Status ApplyObservedStep(const TranscriptStep& step) override {
     if (step.kind != Query::Kind::kReach) {
       return SearchSession::ApplyObservedStep(step);
     }
-    const Hierarchy& h = state_.base().hierarchy();
-    const NodeId q = step.nodes[0];
-    if (q >= h.NumNodes()) {
-      return Status::OutOfRange("observed question node " +
-                                std::to_string(q) +
-                                " outside the hierarchy");
-    }
-    const ReachabilityIndex& reach = h.reach();
-    std::size_t inside = 0;
-    state_.candidates().bits().ForEachSetBit([&](std::size_t raw) {
-      inside += reach.Reaches(q, static_cast<NodeId>(raw)) ? 1 : 0;
-    });
-    const std::size_t alive = state_.AliveCount();
-    if (step.yes) {
-      if (inside == 0) {
-        return Status::InvalidArgument(
-            "observed yes for node " + std::to_string(q) +
-            " would eliminate every candidate (inconsistent transcript)");
-      }
-      if (!state_.IsAlive(q)) {
-        if (inside == alive) {
-          return Status::OK();  // no information; keep the alive root
-        }
-        return Status::Unimplemented(
-            "observed yes for eliminated node " + std::to_string(q) +
-            " still splits the candidates");
-      }
-      if (q != state_.root()) {
-        state_.ApplyYes(q);
-      }
-      return Status::OK();
-    }
-    if (inside == 0) {
-      return Status::OK();  // already known
-    }
-    if (inside == alive) {
-      return Status::InvalidArgument(
-          "observed no for node " + std::to_string(q) +
-          " would eliminate every candidate (inconsistent transcript)");
-    }
-    if (!state_.IsAlive(q)) {
-      return Status::Unimplemented(
-          "observed no for eliminated node " + std::to_string(q) +
-          " still splits the candidates");
-    }
-    state_.ApplyNo(q);
-    return Status::OK();
+    return index_.TryApplyObservedReach(step.nodes[0], step.yes);
   }
 
  private:
   // Algorithm 6 lines 4–11: BFS from the root over alive nodes; consider
-  // every discovered child as a middle-point candidate, but only descend
-  // below children that still dominate half the remaining weight.
+  // every discovered child as a middle-point candidate (the first strict
+  // minimum wins), but only descend below children that still dominate
+  // half the remaining weight.
   NodeId SelectQueryNode() const {
-    const Digraph& g = state_.graph();
-    const NodeId r = state_.root();
-    const Weight total = state_.TotalAlive();
+    const Weight total = index_.TotalAlive();
     NodeId best = kInvalidNode;
     Weight best_diff = 0;
-
-    visited_.NewEpoch();
-    queue_.clear();
-    queue_.push_back(r);
-    visited_.Visit(r);
-    for (std::size_t head = 0; head < queue_.size(); ++head) {
-      const NodeId u = queue_[head];
-      for (const NodeId v : g.Children(u)) {
-        if (visited_.IsVisited(v) || !state_.IsAlive(v)) {
-          continue;
-        }
-        visited_.Visit(v);
-        // Compare w against total - w instead of forming 2*w, which can
-        // overflow Weight for totals above 2^63 (kRealScale-scaled
-        // distributions on large catalogs get close).
-        const Weight w = state_.ReachWeight(v);
-        const Weight rest = total - w;  // w <= total: reach of alive subset
-        const Weight diff = w > rest ? w - rest : rest - w;
-        if (best == kInvalidNode || diff < best_diff) {
-          best = v;
-          best_diff = diff;
-        }
-        if (disable_pruning_ || w > rest) {
-          queue_.push_back(v);
-        }
+    index_.DescendAlive([&](NodeId v) {
+      // Compare w against total - w instead of forming 2*w, which can
+      // overflow Weight for totals above 2^63 (kRealScale-scaled
+      // distributions on large catalogs get close).
+      const Weight w = index_.ReachWeight(v);
+      const Weight rest = total - w;  // w <= total: reach of alive subset
+      const Weight diff = w > rest ? w - rest : rest - w;
+      if (best == kInvalidNode || diff < best_diff) {
+        best = v;
+        best_diff = diff;
       }
-    }
+      return disable_pruning_ || w > rest;
+    });
     // AliveCount() > 1 plus the downward-closure invariant guarantee the
     // root has at least one alive child.
     AIGS_CHECK(best != kInvalidNode);
     return best;
   }
 
-  DagSearchState state_;
+  SplitWeightIndex index_;
   bool disable_pruning_;
-  // BFS scratch for the planner — memoized, reset per plan.
-  mutable EpochMarker visited_;
-  mutable std::vector<NodeId> queue_;
 };
 
 }  // namespace
@@ -141,9 +68,10 @@ GreedyDagPolicy::GreedyDagPolicy(const Hierarchy& hierarchy,
                                  const Distribution& dist,
                                  GreedyDagOptions options)
     : options_(options),
-      base_(hierarchy, options.use_rounded_weights
-                           ? RoundWeights(dist, options.rounding)
-                           : dist.weights()) {
+      weights_(options.use_rounded_weights
+                   ? RoundWeights(dist, options.rounding)
+                   : dist.weights()),
+      base_(hierarchy, weights_) {
   AIGS_CHECK(dist.size() == hierarchy.NumNodes());
 }
 

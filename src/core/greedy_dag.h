@@ -5,16 +5,21 @@
 // only nodes v with 2·w̃(v) > w̃(r): any v with 2·w̃(v) ≤ w̃(r) dominates all
 // of its descendants (its split difference is no worse), so the search
 // prunes below it while still considering v itself — exactly the paper's
-// lines 4–11. Candidate updates use DagSearchState (corrected Algorithm 7).
+// lines 4–11, with the first strict minimum in BFS order winning. The
+// session state is a SplitWeightIndex overlay over the policy's shared
+// SplitWeightBase: w̃ restricted to the candidates is a closure-row
+// intersection with the alive set, which is the corrected Algorithm 7
+// update without any per-session reverse BFS.
 #ifndef AIGS_CORE_GREEDY_DAG_H_
 #define AIGS_CORE_GREEDY_DAG_H_
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/hierarchy.h"
 #include "core/policy.h"
-#include "core/reach_weight_index.h"
+#include "core/split_weight_index.h"
 #include "prob/distribution.h"
 #include "prob/rounding.h"
 
@@ -44,14 +49,10 @@ class GreedyDagPolicy : public Policy {
   std::string name() const override { return "GreedyDAG"; }
   std::unique_ptr<SearchSession> NewSession() const override;
 
-  /// Live weight access for the online-learning harness (raw-weight mode
-  /// only; do not mutate while sessions are in flight).
-  ReachWeightBase* mutable_base() { return &base_; }
-  const ReachWeightBase& base() const { return base_; }
-
  private:
   GreedyDagOptions options_;
-  ReachWeightBase base_;
+  std::vector<Weight> weights_;
+  SplitWeightBase base_;  // borrows weights_
 };
 
 }  // namespace aigs

@@ -20,8 +20,9 @@ class Hierarchy {
  public:
   /// Takes ownership of `g` (finalizing it first if necessary, adding a
   /// dummy root for multi-root inputs) and builds the indexes.
-  /// `reach_options` selects the reachability storage (Euler / dense /
-  /// compressed closure rows); the default auto-picks by catalog size.
+  /// `reach_options` selects the reachability storage (Euler intervals for
+  /// trees; compressed closure rows for DAGs unless dense ones are asked
+  /// for).
   static StatusOr<Hierarchy> Build(Digraph g,
                                    ReachabilityOptions reach_options = {});
 

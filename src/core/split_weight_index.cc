@@ -3,6 +3,33 @@
 #include <algorithm>
 
 namespace aigs {
+namespace {
+
+// Folds candidate v with w = w(R(v) ∩ C) into the (split_diff, id) argmin
+// and returns v's diff. Overflow-safe |2w − total| as |w − (total − w)|;
+// w ≤ total.
+Weight ConsiderMiddlePoint(NodeId v, Weight w, Weight total,
+                           MiddlePoint& best) {
+  const Weight rest = total - w;
+  const Weight diff = w > rest ? w - rest : rest - w;
+  if (best.node == kInvalidNode || diff < best.split_diff ||
+      (diff == best.split_diff && v < best.node)) {
+    best.node = v;
+    best.split_diff = diff;
+    best.reach_weight = w;
+  }
+  return diff;
+}
+
+}  // namespace
+
+PlannerScratch& PlannerScratch::ForThread(std::size_t num_nodes) {
+  thread_local PlannerScratch scratch;
+  if (scratch.visited.size() < num_nodes) {
+    scratch.visited.Resize(num_nodes);
+  }
+  return scratch;
+}
 
 SplitWeightBase::SplitWeightBase(const Hierarchy& hierarchy,
                                  const std::vector<Weight>& weights)
@@ -416,7 +443,6 @@ void SplitWeightIndex::ApplyBatch(std::span<const NodeId> nodes,
 
 MiddlePoint SplitWeightIndex::FindMiddlePoint() const {
   AIGS_DCHECK(alive_count_ > 1);
-  const Digraph& g = base_->hierarchy().graph();
   const Weight total = total_alive_;
   MiddlePoint best;
 
@@ -428,35 +454,11 @@ MiddlePoint SplitWeightIndex::FindMiddlePoint() const {
   // descendant may have a smaller id). Expanding exactly those nodes visits
   // every global minimizer, making the (diff, id) argmin identical to the
   // naive full scan's.
-  if (visited_.size() != g.NumNodes()) {
-    visited_.Resize(g.NumNodes());
-  }
-  visited_.NewEpoch();
-  queue_.clear();
-  queue_.push_back(root_);
-  visited_.Visit(root_);
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
-    const NodeId u = queue_[head];
-    for (const NodeId v : g.Children(u)) {
-      if (visited_.IsVisited(v) || !IsAlive(v)) {
-        continue;
-      }
-      visited_.Visit(v);
-      const Weight w = ReachWeight(v);
-      // Overflow-safe |2w − total| as |w − (total − w)|; w ≤ total.
-      const Weight rest = total - w;
-      const Weight diff = w > rest ? w - rest : rest - w;
-      if (best.node == kInvalidNode || diff < best.split_diff ||
-          (diff == best.split_diff && v < best.node)) {
-        best.node = v;
-        best.split_diff = diff;
-        best.reach_weight = w;
-      }
-      if (w > rest || diff <= best.split_diff) {
-        queue_.push_back(v);
-      }
-    }
-  }
+  DescendAlive([&](NodeId v) {
+    const Weight w = ReachWeight(v);
+    const Weight diff = ConsiderMiddlePoint(v, w, total, best);
+    return w > total - w || diff <= best.split_diff;
+  });
   AIGS_CHECK(best.node != kInvalidNode);
   return best;
 }
@@ -480,39 +482,14 @@ MiddlePoint SplitWeightIndex::FindSplittingMiddlePoint() const {
     // is bit-identical to the flat scan. Post-yes intersection states win
     // the most — their windows concentrate mass near the root, which is
     // exactly where the dominance rule cuts the frontier.
-    const Digraph& g = base_->hierarchy().graph();
-    if (visited_.size() != g.NumNodes()) {
-      visited_.Resize(g.NumNodes());
-    }
-    visited_.NewEpoch();
-    queue_.clear();
-    queue_.push_back(root_);
-    visited_.Visit(root_);
-    for (std::size_t head = 0; head < queue_.size(); ++head) {
-      const NodeId u = queue_[head];
-      for (const NodeId v : g.Children(u)) {
-        if (visited_.IsVisited(v) || !IsAlive(v)) {
-          continue;
-        }
-        visited_.Visit(v);
-        if (ReachCount(v) == count) {
-          queue_.push_back(v);  // covering: wasted question, keep descending
-          continue;
-        }
-        const Weight w = ReachWeight(v);
-        const Weight rest = total - w;
-        const Weight diff = w > rest ? w - rest : rest - w;
-        if (best.node == kInvalidNode || diff < best.split_diff ||
-            (diff == best.split_diff && v < best.node)) {
-          best.node = v;
-          best.split_diff = diff;
-          best.reach_weight = w;
-        }
-        if (w > rest || diff <= best.split_diff) {
-          queue_.push_back(v);
-        }
+    DescendAlive([&](NodeId v) {
+      if (ReachCount(v) == count) {
+        return true;  // covering: wasted question, keep descending
       }
-    }
+      const Weight w = ReachWeight(v);
+      const Weight diff = ConsiderMiddlePoint(v, w, total, best);
+      return w > total - w || diff <= best.split_diff;
+    });
     return best;
   }
 
@@ -540,14 +517,7 @@ MiddlePoint SplitWeightIndex::FindSplittingMiddlePoint() const {
       }
       w = ReachWeight(v);
     }
-    const Weight rest = total - w;
-    const Weight diff = w > rest ? w - rest : rest - w;
-    if (best.node == kInvalidNode || diff < best.split_diff ||
-        (diff == best.split_diff && v < best.node)) {
-      best.node = v;
-      best.split_diff = diff;
-      best.reach_weight = w;
-    }
+    ConsiderMiddlePoint(v, w, total, best);
   });
   return best;
 }

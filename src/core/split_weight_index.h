@@ -1,5 +1,6 @@
-// SplitWeightIndex — the shared incremental selection layer behind the
-// middle-point policies (GreedyNaive, BatchedGreedy, CostSensitiveGreedy).
+// SplitWeightIndex — the shared incremental selection layer behind every
+// candidate-state policy (GreedyDAG, GreedyNaive, BatchedGreedy,
+// CostSensitiveGreedy, WIGS-DAG): one session state for all of them.
 //
 // The naive selection rule recomputes w(R(v) ∩ C) with a fresh forward BFS
 // from every alive candidate on every pick: O(n·m) per question. This layer
@@ -32,7 +33,9 @@
 //    closure's DFS-preorder *position* space, and every kernel
 //    (fused count+weight, AND, ANDNOT) consumes the interval / chunked
 //    encodings without materializing a dense row — cost proportional to the
-//    compressed row size instead of n/64.
+//    compressed row size instead of n/64. DAGs get compressed rows unless
+//    their builder asks for dense ones, so after its first answer a DAG
+//    session holds one alive bit per node and nothing else of size n.
 //
 // Selection entry points:
 //  * FindMiddlePoint(): minimizes |2·w(R(v) ∩ C) − w(C)| over alive v ≠
@@ -51,7 +54,10 @@
 //
 // Both use the lexicographic (split_diff, node id) ordering, which matches
 // the reference scan's first-wins-in-id-order tie-break exactly; the
-// equivalence suite (tests/test_split_weight_index.cc) pins this.
+// equivalence suite (tests/test_split_weight_index.cc) pins this. Policies
+// with their own selection rule (GreedyDAG's first-strict-minimum BFS,
+// WIGS-DAG's heaviest-child chains) walk DescendAlive() or the graph
+// directly and read IsAlive/ReachWeight/ReachCount.
 #ifndef AIGS_CORE_SPLIT_WEIGHT_INDEX_H_
 #define AIGS_CORE_SPLIT_WEIGHT_INDEX_H_
 
@@ -67,6 +73,18 @@
 #include "util/status.h"
 
 namespace aigs {
+
+/// BFS marks and queue for the selection descents. They are memoized
+/// planner state (see the `mutable` contract in core/policy.h), so they
+/// belong to the planning thread, not to any session.
+struct PlannerScratch {
+  EpochMarker visited;
+  std::vector<NodeId> queue;
+
+  /// The calling thread's scratch, grown to at least `num_nodes` marks (it
+  /// keeps the size of the largest hierarchy the thread has planned on).
+  static PlannerScratch& ForThread(std::size_t num_nodes);
+};
 
 /// Immutable per-(hierarchy, weights) precomputation shared by every search
 /// session. Borrows `weights`; both the hierarchy and the weight vector
@@ -192,6 +210,33 @@ class SplitWeightIndex {
     }
   }
 
+  /// Breadth-first descent from root() over alive nodes, children in graph
+  /// order: calls expand(v) once for every alive node the root reaches
+  /// (root excluded) and descends below v only when it returns true. Runs
+  /// on the calling thread's PlannerScratch, so `expand` must not start
+  /// another descent.
+  template <typename Fn>
+  void DescendAlive(Fn&& expand) const {
+    const Digraph& g = base_->hierarchy().graph();
+    PlannerScratch& scratch = PlannerScratch::ForThread(g.NumNodes());
+    scratch.visited.NewEpoch();
+    scratch.queue.clear();
+    scratch.queue.push_back(root_);
+    scratch.visited.Visit(root_);
+    for (std::size_t head = 0; head < scratch.queue.size(); ++head) {
+      const NodeId u = scratch.queue[head];
+      for (const NodeId v : g.Children(u)) {
+        if (scratch.visited.IsVisited(v) || !IsAlive(v)) {
+          continue;
+        }
+        scratch.visited.Visit(v);
+        if (expand(v)) {
+          scratch.queue.push_back(v);
+        }
+      }
+    }
+  }
+
   // ---- answer application ---------------------------------------------------
 
   /// Applies reach(q) = yes: candidates ← R(q) ∩ C; root ← q when the
@@ -284,11 +329,6 @@ class SplitWeightIndex {
   // sessions answer from the base).
   bool materialized_ = false;
   DynamicBitset alive_;
-
-  // Scratch for the dominance-pruned descent; sized lazily on first use so
-  // session construction stays O(1).
-  mutable EpochMarker visited_;
-  mutable std::vector<NodeId> queue_;
 };
 
 }  // namespace aigs

@@ -24,8 +24,8 @@ struct Dataset {
 /// Amazon-like tree at the paper's scale, or shrunk by `scale` (node count,
 /// object count and max degree scaled down; height preserved) for fast
 /// default bench runs. scale = 1.0 reproduces Table II exactly. `reach`
-/// selects the hierarchy's reachability storage (dense vs compressed
-/// closure rows; the default auto-picks by size).
+/// selects the hierarchy's reachability storage (compressed closure rows
+/// by default, dense on request).
 Dataset MakeAmazonDataset(double scale = 1.0,
                           const ReachabilityOptions& reach = {});
 

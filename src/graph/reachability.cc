@@ -17,12 +17,7 @@ ReachabilityIndex::ReachabilityIndex(const Digraph& g,
     BuildEuler();
     return;
   }
-  bool compressed = options.closure == ReachabilityOptions::Closure::kCompressed;
-  if (options.closure == ReachabilityOptions::Closure::kAuto) {
-    compressed = DenseClosureBytes(g.NumNodes()) >
-                 static_cast<U128>(options.compress_threshold_bytes);
-  }
-  if (compressed) {
+  if (options.closure == ReachabilityOptions::Closure::kCompressed) {
     storage_ = Storage::kCompressedClosure;
     compressed_ = std::make_unique<CompressedClosure>(
         g, CompressedClosure::BuildOptions{options.build_threads,

@@ -5,15 +5,16 @@
 //
 // Three storage modes:
 //   - Euler intervals for tree hierarchies — O(n) memory.
-//   - Dense bitset closure rows for DAGs — O(n²/8) memory (~96 MB for the
-//     paper's 28k-node ImageNet hierarchy), built in reverse topological
-//     order.
-//   - Compressed closure rows (graph/compressed_closure.h) — interval /
-//     chunked hybrid rows over a DFS-preorder permutation, built streaming
-//     with one dense scratch row. kAuto switches to this when dense rows
-//     would blow the configured byte threshold, which is what makes
-//     million-node catalogs buildable at all: the dense estimate at 1M
-//     nodes is ~125 GB.
+//   - Compressed closure rows (graph/compressed_closure.h), the DAG
+//     default — interval / chunked hybrid rows over a DFS-preorder
+//     permutation, built streaming with one dense scratch row. This is
+//     what makes million-node catalogs buildable at all (the dense
+//     estimate at 1M nodes is ~125 GB), and its kernels match dense-row
+//     latency at paper scale.
+//   - Dense bitset closure rows — O(n²/8) memory (~96 MB for the paper's
+//     28k-node ImageNet hierarchy), built in reverse topological order.
+//     Built only on request (Closure::kDense): the reference storage the
+//     equivalence tests and benches compare compressed rows against.
 #ifndef AIGS_GRAPH_REACHABILITY_H_
 #define AIGS_GRAPH_REACHABILITY_H_
 
@@ -33,21 +34,15 @@ class ThreadPool;
 /// Storage selection for ReachabilityIndex.
 struct ReachabilityOptions {
   enum class Closure {
-    kAuto,        // dense unless the estimate exceeds the threshold
-    kDense,       // force dense bitset rows
-    kCompressed,  // force compressed rows
+    kCompressed,  // compressed rows (default)
+    kDense,       // dense bitset rows (reference storage)
   };
-  Closure closure = Closure::kAuto;
+  Closure closure = Closure::kCompressed;
 
   /// Trees normally use Euler intervals regardless of `closure`; setting
   /// this forces the closure machinery on trees too, so closure-path code
   /// can be exercised (and benched) on every hierarchy shape.
   bool force_closure_on_trees = false;
-
-  /// kAuto picks compressed storage when the dense closure estimate
-  /// n·⌈n/64⌉·8 bytes exceeds this (default 256 MB — every paper-scale
-  /// dataset stays dense, million-node catalogs go compressed).
-  std::size_t compress_threshold_bytes = std::size_t{256} << 20;
 
   /// Closure build concurrency: 0 = hardware concurrency, 1 = serial.
   /// Parallel builds levelize rows by dependency depth and shard each

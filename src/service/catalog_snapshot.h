@@ -4,8 +4,8 @@
 // A snapshot bundles one (hierarchy, distribution[, cost model]) triple with
 // the registry-constructed policies named in its config. All O(n)
 // precomputation — the hierarchy's ReachabilityIndex, each policy's shared
-// base (SplitWeightBase / TreeWeightBase / ReachWeightBase) — happens once
-// at Build() time, so opening a search session against a snapshot is O(1).
+// base (SplitWeightBase / TreeWeightBase) — happens once at Build() time,
+// so opening a search session against a snapshot is O(1).
 //
 // Snapshots are published through Engine epochs: an online-learning weight
 // update builds a *new* snapshot and swaps the engine's current pointer;

@@ -35,6 +35,17 @@ TEST(Reachability, DagModeUsesClosure) {
   EXPECT_FALSE(index.euler_mode());
 }
 
+TEST(Reachability, DefaultDagBuildPicksCompressedRows) {
+  Rng rng(2);
+  const Digraph g = RandomDag(40, rng, 0.5);
+  EXPECT_EQ(ReachabilityIndex(g).storage(),
+            ReachabilityIndex::Storage::kCompressedClosure);
+  ReachabilityOptions dense;
+  dense.closure = ReachabilityOptions::Closure::kDense;
+  EXPECT_EQ(ReachabilityIndex(g, dense).storage(),
+            ReachabilityIndex::Storage::kDenseClosure);
+}
+
 TEST(Reachability, MatchesBruteForceOnTrees) {
   Rng rng(3);
   const Digraph g = RandomTree(60, rng);

@@ -3,13 +3,22 @@
 // efficient policies.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <algorithm>
 #include <set>
 
 #include "core/hierarchy.h"
 #include "core/middle_point.h"
-#include "core/reach_weight_index.h"
+#include "core/policy_registry.h"
+#include "core/split_weight_index.h"
 #include "core/tree_weight_index.h"
+#include "data/synthetic_catalog.h"
+#include "eval/runner.h"
 #include "graph/generators.h"
+#include "oracle/cost_model.h"
+#include "oracle/oracle.h"
+#include "service/engine.h"
 #include "tests/test_support.h"
 #include "util/rng.h"
 
@@ -115,118 +124,37 @@ TEST(TreeSearchState, OverlayMatchesScratchRecomputation) {
   }
 }
 
-// ---- ReachWeightBase / DagSearchState ----------------------------------------
-
-TEST(ReachWeightBase, MatchesReachabilityIndex) {
-  Rng rng(4);
-  const Hierarchy h = MustBuild(RandomDag(40, rng, 0.5));
-  const auto weights = RandomWeights(40, rng);
-  const ReachWeightBase base(h, weights);
-  for (NodeId v = 0; v < 40; ++v) {
-    EXPECT_EQ(base.ReachWeight(v),
-              h.reach().WeightOfReachableSet(v, weights));
-  }
-  EXPECT_EQ(base.Total(), base.ReachWeight(h.root()));
-}
-
-TEST(ReachWeightBase, AddWeightMatchesRecomputation) {
-  Rng rng(5);
-  const Hierarchy h = MustBuild(RandomDag(35, rng, 0.6));
-  auto weights = RandomWeights(35, rng);
-  ReachWeightBase base(h, weights);
-  for (const NodeId v : {NodeId{3}, NodeId{17}, NodeId{34}}) {
-    base.AddWeight(v, 11);
-    weights[v] += 11;
-  }
-  const ReachWeightBase fresh(h, weights);
-  for (NodeId v = 0; v < 35; ++v) {
-    EXPECT_EQ(base.ReachWeight(v), fresh.ReachWeight(v)) << v;
-  }
-}
-
-TEST(DagSearchState, OverlayMatchesScratchRecomputation) {
-  Rng rng(6);
-  for (int round = 0; round < 20; ++round) {
-    const Hierarchy h = MustBuild(RandomDag(25, rng, 0.5));
-    const std::size_t n = h.NumNodes();
-    const auto weights = RandomWeights(n, rng);
-    const ReachWeightBase base(h, weights);
-    DagSearchState state(base);
-
-    std::set<NodeId> alive;
-    for (NodeId v = 0; v < n; ++v) {
-      alive.insert(v);
-    }
-    Rng steps(rng.Next());
-    for (int step = 0; step < 10 && alive.size() > 1; ++step) {
-      std::vector<NodeId> options;
-      for (const NodeId v : alive) {
-        if (v != state.root()) {
-          options.push_back(v);
-        }
-      }
-      const NodeId q =
-          options[static_cast<std::size_t>(steps.UniformInt(options.size()))];
-      if (steps.Bernoulli(0.5)) {
-        state.ApplyYes(q);
-        std::set<NodeId> next;
-        for (const NodeId v : alive) {
-          if (h.reach().Reaches(q, v)) {
-            next.insert(v);
-          }
-        }
-        alive = std::move(next);
-      } else {
-        state.ApplyNo(q);
-        for (auto it = alive.begin(); it != alive.end();) {
-          it = h.reach().Reaches(q, *it) ? alive.erase(it) : std::next(it);
-        }
-      }
-      // Session reach weights must equal Σ weights over R(v) ∩ alive.
-      Weight expected_total = 0;
-      for (const NodeId x : alive) {
-        expected_total += weights[x];
-      }
-      ASSERT_EQ(state.TotalAlive(), expected_total);
-      ASSERT_EQ(state.AliveCount(), alive.size());
-      for (const NodeId v : alive) {
-        Weight expected = 0;
-        for (const NodeId x : alive) {
-          if (h.reach().Reaches(v, x)) {
-            expected += weights[x];
-          }
-        }
-        ASSERT_EQ(state.ReachWeight(v), expected)
-            << "round " << round << " node " << v;
-      }
-    }
-  }
-}
-
-// ---- Differential: the two session kinds must agree on trees ----------------
+// ---- Differential: tree state vs closure-mode split index on trees ---------
 
 TEST(SessionDifferential, TreeAndDagStatesAgreeOnTrees) {
   // A tree is a DAG: for identical operation sequences, TreeSearchState's
-  // subtree weights and DagSearchState's reach weights must match exactly.
+  // subtree weights and the DAG session state — SplitWeightIndex on
+  // compressed closure rows, forced onto the tree — must match exactly.
+  ReachabilityOptions closure_on_trees;
+  closure_on_trees.force_closure_on_trees = true;
   Rng rng(21);
   for (int round = 0; round < 15; ++round) {
-    const Hierarchy h = MustBuild(RandomTree(2 + rng.UniformInt(40), rng));
+    const Hierarchy h = *Hierarchy::Build(
+        RandomTree(2 + rng.UniformInt(40), rng), closure_on_trees);
+    ASSERT_EQ(h.reach().storage(),
+              ReachabilityIndex::Storage::kCompressedClosure);
     const std::size_t n = h.NumNodes();
     const auto weights = RandomWeights(n, rng);
     const TreeWeightBase tree_base(h.tree(), weights);
-    const ReachWeightBase dag_base(h, weights);
+    const SplitWeightBase dag_base(h, weights);
     TreeSearchState tree_state(tree_base);
-    DagSearchState dag_state(dag_base);
+    SplitWeightIndex dag_state(dag_base);
 
     Rng steps(rng.Next());
     while (dag_state.AliveCount() > 1) {
       // Pick any alive non-root node; both states see the same candidates.
       std::vector<NodeId> options;
-      dag_state.candidates().bits().ForEachSetBit([&](std::size_t raw) {
-        if (static_cast<NodeId>(raw) != dag_state.root()) {
-          options.push_back(static_cast<NodeId>(raw));
+      dag_state.ForEachAlive([&](NodeId v) {
+        if (v != dag_state.root()) {
+          options.push_back(v);
         }
       });
+      std::sort(options.begin(), options.end());
       const NodeId q =
           options[static_cast<std::size_t>(steps.UniformInt(options.size()))];
       if (steps.Bernoulli(0.5)) {
@@ -240,8 +168,7 @@ TEST(SessionDifferential, TreeAndDagStatesAgreeOnTrees) {
       ASSERT_EQ(tree_state.CandidateCount(), dag_state.AliveCount());
       ASSERT_EQ(tree_state.SubtreeWeight(tree_state.root()),
                 dag_state.TotalAlive());
-      dag_state.candidates().bits().ForEachSetBit([&](std::size_t raw) {
-        const NodeId v = static_cast<NodeId>(raw);
+      dag_state.ForEachAlive([&](NodeId v) {
         ASSERT_EQ(tree_state.SubtreeWeight(v), dag_state.ReachWeight(v))
             << "node " << v;
       });
@@ -290,6 +217,79 @@ TEST(MiddlePoint, GetReachableSetWeightHonorsCandidates) {
   candidates.RemoveReachable(2);
   EXPECT_EQ(
       GetReachableSetWeight(h.graph(), candidates, 1, weights, scratch), 2u);
+}
+
+// ---- Session memory -----------------------------------------------------------
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define AIGS_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define AIGS_TEST_SANITIZED 1
+#endif
+#endif
+
+std::size_t HeapBytesInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+// Plans and answers the session's first question truthfully for `target`.
+void AnswerOnce(SearchSession& session, const ReachabilityIndex& reach,
+                NodeId target) {
+  ExactOracle oracle(reach, target);
+  const Query q = session.Next();
+  const SessionAnswer answer = AnswerFromOracle(q, oracle);
+  if (q.kind == Query::Kind::kReach) {
+    session.OnReach(q.node, answer.yes);
+  } else {
+    ASSERT_EQ(q.kind, Query::Kind::kReachBatch);
+    session.OnReachBatch(q.choices, answer.batch);
+  }
+}
+
+TEST(SessionMemory, DagSessionsHoldAboutOneAliveBitPerNode) {
+#ifdef AIGS_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+#endif
+  ReachabilityOptions compressed;
+  compressed.closure = ReachabilityOptions::Closure::kCompressed;
+  const Hierarchy h = *Hierarchy::Build(
+      GenerateCatalogDag(BigCatalogParams(20'000)), compressed);
+  ASSERT_EQ(h.reach().storage(),
+            ReachabilityIndex::Storage::kCompressedClosure);
+  const std::size_t n = h.NumNodes();
+  const Distribution dist = AssignZipfObjectCounts(n, 4 * n, 1.0, 7);
+  Rng rng(8);
+  const CostModel costs = CostModel::UniformRandom(n, 1, 9, rng);
+  const PolicyContext context{&h, &dist, &costs};
+  // One alive bit per node, twice for batched (session + round scratch).
+  const std::size_t budget = n / 4 + 4096;
+  constexpr std::size_t kSessions = 64;
+
+  for (const char* spec : {"greedy", "greedy_dag", "wigs", "greedy_naive",
+                           "batched:k=4", "cost_sensitive"}) {
+    SCOPED_TRACE(spec);
+    auto policy = PolicyRegistry::Global().Create(spec, context);
+    ASSERT_TRUE(policy.ok()) << policy.status().ToString();
+    // Warm-up: per-thread planner scratch is allocated once per thread, not
+    // per session.
+    AnswerOnce(*(*policy)->NewSession(), h.reach(), 0);
+
+    std::vector<std::unique_ptr<SearchSession>> sessions;
+    sessions.reserve(kSessions);
+    const std::size_t before = HeapBytesInUse();
+    for (std::size_t i = 0; i < kSessions; ++i) {
+      sessions.push_back((*policy)->NewSession());
+      AnswerOnce(*sessions.back(), h.reach(),
+                 static_cast<NodeId>((i * 7919) % n));
+    }
+    const std::size_t after = HeapBytesInUse();
+    const std::size_t per_session =
+        after > before ? (after - before) / kSessions : 0;
+    EXPECT_LE(per_session, budget)
+        << n << " nodes: " << per_session << " bytes per session";
+  }
 }
 
 }  // namespace
