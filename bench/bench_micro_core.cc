@@ -55,6 +55,16 @@ const Hierarchy& DagHierarchy() {
   return *h;
 }
 
+// The same DAG on compressed closure rows, the storage DAGs get by default.
+const Hierarchy& CompressedDagHierarchy() {
+  static const Hierarchy* h = [] {
+    auto built = Hierarchy::Build(GenerateCatalogDag(SmallDagParams()));
+    AIGS_CHECK(built.ok());
+    return new Hierarchy(*std::move(built));
+  }();
+  return *h;
+}
+
 const Distribution& TreeDist() {
   static const Distribution* d = new Distribution(
       AssignZipfObjectCounts(TreeHierarchy().NumNodes(), 1'000'000, 1.0, 9));
@@ -192,8 +202,11 @@ void BM_GreedyTreeSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyTreeSearch);
 
+// Full GreedyDAG searches to random targets, on dense and on compressed
+// closure rows (both hierarchies share DagDist: same graph, same n).
+template <const Hierarchy& (*GetHierarchy)()>
 void BM_GreedyDagSearch(benchmark::State& state) {
-  const Hierarchy& h = DagHierarchy();
+  const Hierarchy& h = GetHierarchy();
   GreedyDagPolicy policy(h, DagDist());
   Rng rng(4);
   for (auto _ : state) {
@@ -204,7 +217,10 @@ void BM_GreedyDagSearch(benchmark::State& state) {
     benchmark::DoNotOptimize(RunSearch(*session, oracle).target);
   }
 }
-BENCHMARK(BM_GreedyDagSearch);
+BENCHMARK_TEMPLATE(BM_GreedyDagSearch, DagHierarchy)
+    ->Name("BM_GreedyDagSearch");
+BENCHMARK_TEMPLATE(BM_GreedyDagSearch, CompressedDagHierarchy)
+    ->Name("BM_GreedyDagSearchCompressed");
 
 void BM_TreeSessionCreation(benchmark::State& state) {
   const Hierarchy& h = TreeHierarchy();

@@ -34,12 +34,18 @@ class GreedyDagSession final : public SearchSession {
   // Algorithm 6 lines 4–11: BFS from the root over alive nodes; consider
   // every discovered child as a middle-point candidate (the first strict
   // minimum wins), but only descend below children that still dominate
-  // half the remaining weight.
+  // half the remaining weight. With pruning on, a child whose pristine
+  // bound already proves it dominated and no better than the best (a tie
+  // never replaces the first minimum) is skipped without its exact weight.
   NodeId SelectQueryNode() const {
     const Weight total = index_.TotalAlive();
     NodeId best = kInvalidNode;
     Weight best_diff = 0;
     index_.DescendAlive([&](NodeId v) {
+      if (!disable_pruning_ && best != kInvalidNode &&
+          index_.PristineBoundRulesOut(v, best_diff, /*strict=*/false)) {
+        return false;
+      }
       // Compare w against total - w instead of forming 2*w, which can
       // overflow Weight for totals above 2^63 (kRealScale-scaled
       // distributions on large catalogs get close).

@@ -9,7 +9,10 @@
 // session state is a SplitWeightIndex overlay over the policy's shared
 // SplitWeightBase: w̃ restricted to the candidates is a closure-row
 // intersection with the alive set, which is the corrected Algorithm 7
-// update without any per-session reverse BFS.
+// update without any per-session reverse BFS. Because that intersection is
+// a row kernel, the BFS first bounds w̃(R(v) ∩ C) by the pristine
+// w̃(R(v)) (SplitWeightIndex::PristineBoundRulesOut) and skips children
+// the bound already shows to be dominated and no better than the best.
 #ifndef AIGS_CORE_GREEDY_DAG_H_
 #define AIGS_CORE_GREEDY_DAG_H_
 
@@ -34,8 +37,11 @@ struct GreedyDagOptions {
   RoundingOptions rounding;
 
   /// Expand the selection BFS below dominated nodes anyway (ablation knob:
-  /// turns selection into an exhaustive scan of the alive sub-DAG; the
-  /// chosen node is identical, selection just costs more).
+  /// turns selection into an exhaustive scan of the alive sub-DAG that also
+  /// computes every candidate's exact weight, skipping no probe on the
+  /// pristine-weight bound; the chosen node is identical, selection just
+  /// costs more). It is the reference the bounded default is tested
+  /// against.
   bool disable_dominance_pruning = false;
 };
 

@@ -254,6 +254,23 @@ std::size_t SplitWeightIndex::ReachCount(NodeId v) const {
   return alive_.IntersectionCount(base_->reach().ClosureRow(v));
 }
 
+bool SplitWeightIndex::PristineBoundRulesOut(NodeId v, Weight diff,
+                                             bool strict) const {
+  if (euler_) {
+    return false;
+  }
+  // w ≤ ub, so ub ≤ total − ub gives w ≤ total − w and a diff of at least
+  // (total − ub) − ub. The bound may count dead weight and exceed the alive
+  // total; test that first, or total − ub wraps around.
+  const Weight total = total_alive_;
+  const Weight ub = base_->FullReachWeight(v);
+  if (ub > total || ub > total - ub) {
+    return false;
+  }
+  const Weight min_diff = (total - ub) - ub;
+  return strict ? min_diff > diff : min_diff >= diff;
+}
+
 // ---- answer application -----------------------------------------------------
 
 void SplitWeightIndex::MaterializeAllAlive() {
@@ -453,8 +470,13 @@ MiddlePoint SplitWeightIndex::FindMiddlePoint() const {
   // matter when the node ties the best diff seen so far (an equal-weight
   // descendant may have a smaller id). Expanding exactly those nodes visits
   // every global minimizer, making the (diff, id) argmin identical to the
-  // naive full scan's.
+  // naive full scan's. A node whose pristine bound already proves a
+  // strictly worse diff (and so no expansion) never reaches either test.
   DescendAlive([&](NodeId v) {
+    if (best.node != kInvalidNode &&
+        PristineBoundRulesOut(v, best.split_diff, /*strict=*/true)) {
+      return false;
+    }
     const Weight w = ReachWeight(v);
     const Weight diff = ConsiderMiddlePoint(v, w, total, best);
     return w > total - w || diff <= best.split_diff;
@@ -495,6 +517,11 @@ MiddlePoint SplitWeightIndex::FindSplittingMiddlePoint() const {
 
   const bool closure_fused = materialized_;
   ForEachAlive([&](NodeId v) {
+    // A strictly worse diff loses whether or not v splits the set.
+    if (best.node != kInvalidNode &&
+        PristineBoundRulesOut(v, best.split_diff, /*strict=*/true)) {
+      return;
+    }
     // The count gates the "splits the set" requirement, the weight feeds
     // the diff. Materialized closure mode fuses both into one word scan
     // (per-chunk over compressed rows); the other modes check the (cheap)

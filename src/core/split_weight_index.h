@@ -58,6 +58,13 @@
 // with their own selection rule (GreedyDAG's first-strict-minimum BFS,
 // WIGS-DAG's heaviest-child chains) walk DescendAlive() or the graph
 // directly and read IsAlive/ReachWeight/ReachCount.
+//
+// In closure mode an exact weight is a row kernel, so all three selection
+// sites (both entry points and GreedyDAG's BFS) first ask
+// PristineBoundRulesOut(): w(R(v)) ≥ w(R(v) ∩ C) is an O(1) upper bound,
+// and once a best candidate exists a light enough bound proves v neither
+// wins nor needs expanding. Most probes below the first few levels end
+// there; results stay bit-identical to the unbounded scans.
 #ifndef AIGS_CORE_SPLIT_WEIGHT_INDEX_H_
 #define AIGS_CORE_SPLIT_WEIGHT_INDEX_H_
 
@@ -172,11 +179,21 @@ class SplitWeightIndex {
   /// The identified target; requires AliveCount() == 1.
   NodeId Target() const;
 
-  /// w(R(v) ∩ C): O(log answers) in Euler mode, O(n/64) in closure mode
-  /// (O(1) while pristine).
+  /// w(R(v) ∩ C): O(log answers) in Euler mode; in closure mode O(1) while
+  /// pristine, then one masked kernel over v's closure row — O(n/64) on
+  /// dense rows, O(compressed row size) on compressed ones.
   Weight ReachWeight(NodeId v) const;
   /// |R(v) ∩ C| with the same costs.
   std::size_t ReachCount(NodeId v) const;
+
+  /// O(1) closure-mode test that lets a selection descent skip v's exact
+  /// ReachWeight: true when the base's pristine w(R(v)), an upper bound on
+  /// w = w(R(v) ∩ C), alone proves w ≤ TotalAlive() − w (so nothing below
+  /// v needs expanding) and v's split diff |w − (TotalAlive() − w)| ≥
+  /// `diff` — strictly greater when `strict`, for (diff, id) argmins where
+  /// a tie could still win on id. Always false in Euler mode, whose exact
+  /// weight is already O(log answers).
+  bool PristineBoundRulesOut(NodeId v, Weight diff, bool strict) const;
 
   /// Invokes fn(NodeId) for every alive candidate. Euler mode iterates in
   /// Euler order, dense closure mode in node-id order, compressed closure
@@ -257,13 +274,16 @@ class SplitWeightIndex {
   // ---- selection ------------------------------------------------------------
 
   /// Middle point over alive candidates excluding root() (Definition 4),
-  /// via the dominance-pruned descent. Requires AliveCount() > 1.
+  /// via the dominance-pruned descent; in closure mode a candidate the
+  /// pristine bound rules out (strictly worse diff) costs no row kernel.
+  /// Requires AliveCount() > 1.
   MiddlePoint FindMiddlePoint() const;
 
   /// Middle point over alive candidates that split the set by count
   /// (|R(v) ∩ C| < |C|); kInvalidNode when none splits. Euler mode runs a
-  /// pruned/rooted descent, closure mode a fused-kernel flat scan; both are
-  /// bit-identical to a full (diff, id)-argmin scan.
+  /// pruned, rooted descent, closure mode a fused-kernel flat scan that
+  /// skips the kernel for candidates the pristine bound rules out; both
+  /// are bit-identical to a full (diff, id)-argmin scan.
   MiddlePoint FindSplittingMiddlePoint() const;
 
   const SplitWeightBase& base() const { return *base_; }

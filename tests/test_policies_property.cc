@@ -14,6 +14,7 @@
 #include "baselines/wigs.h"
 #include "core/aigs.h"
 #include "core/middle_point.h"
+#include "core/policy_registry.h"
 #include "graph/candidate_set.h"
 #include "graph/generators.h"
 #include "tests/test_support.h"
@@ -295,6 +296,52 @@ TEST(GreedyDagOptimality, PruningNeverChangesSelectionQuality) {
     // Identical traversal order (BFS) + identical tie-breaking => identical
     // query sequences, hence identical per-target costs.
     EXPECT_EQ(RunAllTargets(a, h), RunAllTargets(b, h));
+  }
+}
+
+/// Every reach question a session asks on its way to `target`, in order.
+std::vector<NodeId> ReachTranscript(const Policy& policy, const Hierarchy& h,
+                                    NodeId target) {
+  ExactOracle oracle(h.reach(), target);
+  auto session = policy.NewSession();
+  std::vector<NodeId> asked;
+  for (;;) {
+    const Query q = session->Next();
+    if (q.kind == Query::Kind::kDone) {
+      EXPECT_EQ(q.node, target);
+      return asked;
+    }
+    AIGS_CHECK(q.kind == Query::Kind::kReach);
+    asked.push_back(q.node);
+    session->OnReach(q.node, oracle.Reach(q.node));
+  }
+}
+
+// The bounded selection (pristine w(R(v)) bounds w(R(v) ∩ C)) against the
+// exhaustive exact-weight scan, on a DAG big and skewed enough that the
+// bound must often be refused because it exceeds the alive total.
+TEST(GreedyDagOptimality, BoundedSelectionMatchesExhaustiveOnCatalogDag) {
+  const Hierarchy h = testing::CatalogScaleDag();
+  ASSERT_EQ(h.reach().storage(),
+            ReachabilityIndex::Storage::kCompressedClosure);
+  const Distribution dist = testing::CatalogZipfCounts(h.NumNodes());
+  const PolicyContext ctx{&h, &dist, nullptr};
+  const auto make = [&](const std::string& spec) {
+    auto policy = PolicyRegistry::Global().Create(spec, ctx);
+    AIGS_CHECK(policy.ok());
+    return *std::move(policy);
+  };
+  for (const std::string weights : {"rounded=true", "rounded=false"}) {
+    SCOPED_TRACE(weights);
+    const auto bounded = make("greedy_dag:" + weights);
+    const auto exhaustive = make("greedy_dag:" + weights + ",prune=false");
+    // Every 8th target keeps the exhaustive reference affordable under
+    // sanitizers.
+    for (NodeId target = 0; target < h.NumNodes(); target += 8) {
+      ASSERT_EQ(ReachTranscript(*bounded, h, target),
+                ReachTranscript(*exhaustive, h, target))
+          << "target " << target;
+    }
   }
 }
 

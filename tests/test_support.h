@@ -7,6 +7,7 @@
 
 #include "core/hierarchy.h"
 #include "core/policy.h"
+#include "data/synthetic_catalog.h"
 #include "eval/runner.h"
 #include "oracle/oracle.h"
 #include "prob/distribution.h"
@@ -26,6 +27,25 @@ inline Distribution MustDist(std::vector<Weight> weights) {
   auto d = Distribution::FromWeights(std::move(weights));
   AIGS_CHECK(d.ok());
   return *std::move(d);
+}
+
+/// A 3,000-node catalog-shaped DAG, built on compressed closure rows (the
+/// DAG default). With CatalogZipfCounts its weights are skewed enough that,
+/// deep in a search, nodes' pristine reach weights exceed the whole alive
+/// total — a state the ≤40-node random DAGs rarely reach.
+inline Hierarchy CatalogScaleDag() {
+  CatalogParams params;
+  params.num_nodes = 3000;
+  params.height = 9;
+  params.max_out_degree = 60;
+  params.extra_parent_frac = 0.08;
+  params.seed = 31;
+  return MustBuild(GenerateCatalogDag(params));
+}
+
+/// Zipf(1) object counts over `num_nodes` categories (1M objects).
+inline Distribution CatalogZipfCounts(std::size_t num_nodes) {
+  return AssignZipfObjectCounts(num_nodes, 1'000'000, 1.0, 32);
 }
 
 /// Runs the policy against every possible target; returns per-target unit
