@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -15,21 +16,48 @@ namespace aigs::net {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using std::chrono::nanoseconds;
+using namespace std::chrono_literals;
+
+/// The worker's poll window: before parking in a blocking epoll_wait it
+/// polls for up to this long, so a connection whose next request lands
+/// within the window never pays a sleep and a wake-up. kSpinMax must
+/// cover a client's turnaround (its own ~9 µs wake-up plus its work).
+constexpr nanoseconds kSpinStart = 8us;
+constexpr nanoseconds kSpinMax = 64us;
+
+/// Sizes the next window from how long the last wait lasted, as the
+/// kernel's cpuidle haltpoll governor does: a wait longer than kSpinMax
+/// halves the window (to 0 below kSpinStart, so an idle or lightly loaded
+/// worker parks at once); a wait that outlasted the window but not
+/// kSpinMax doubles it.
+nanoseconds NextPollWindow(nanoseconds window, nanoseconds waited) {
+  if (waited > kSpinMax) {
+    window /= 2;
+    return window < kSpinStart ? 0ns : window;
+  }
+  if (waited > window) {
+    return std::clamp(window * 2, kSpinStart, kSpinMax);
+  }
+  return window;
+}
+
+}  // namespace
 
 /// One accepted connection, owned by exactly one worker.
-struct Connection {
+struct AigsServer::Connection {
   std::string read_buffer;
   std::string write_buffer;
   Clock::time_point last_active = Clock::now();
+  /// Whether EPOLLOUT is armed (a previous flush left bytes pending).
+  bool want_write = false;
   /// Set when corrupt framing (or a write error) condemns the connection;
   /// pending response bytes are still flushed best-effort first.
   bool close_after_flush = false;
 };
 
-}  // namespace
-
 /// One worker event loop: an epoll set, a wake eventfd, a handoff queue of
-/// freshly accepted fds, and the connections it owns.
+/// freshly accepted fds, the connections it owns, and its poll counters.
 struct AigsServer::Worker {
   int epoll_fd = -1;
   int wake_fd = -1;
@@ -37,6 +65,9 @@ struct AigsServer::Worker {
   std::mutex mutex;               // guards pending only
   std::vector<int> pending;       // fds handed off by the acceptor
   std::unordered_map<int, Connection> connections;
+  std::atomic<std::uint64_t> polled_waits{0};
+  std::atomic<std::uint64_t> parked_waits{0};
+  std::atomic<std::uint64_t> poll_ns{0};
 };
 
 WireResponse HandleRequest(Engine& engine, const WireRequest& request) {
@@ -205,6 +236,25 @@ void AigsServer::Stop() {
   }
 }
 
+std::uint64_t AigsServer::SumOverWorkers(
+    std::atomic<std::uint64_t> Worker::*counter) const {
+  std::uint64_t total = 0;
+  for (const auto& worker : workers_) {
+    total += ((*worker).*counter).load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+std::uint64_t AigsServer::polled_waits() const {
+  return SumOverWorkers(&Worker::polled_waits);
+}
+std::uint64_t AigsServer::parked_waits() const {
+  return SumOverWorkers(&Worker::parked_waits);
+}
+std::uint64_t AigsServer::poll_ns() const {
+  return SumOverWorkers(&Worker::poll_ns);
+}
+
 void AigsServer::AcceptLoop() {
   const int epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd < 0) {
@@ -224,6 +274,7 @@ void AigsServer::AcceptLoop() {
     if (n < 0 && errno != EINTR) {
       break;
     }
+    bool exhausted = false;
     for (int i = 0; i < n; ++i) {
       if (events[i].data.fd != listen_fd_) {
         continue;  // wake fd — the loop condition re-checks running_
@@ -232,7 +283,11 @@ void AigsServer::AcceptLoop() {
         const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                                  SOCK_NONBLOCK | SOCK_CLOEXEC);
         if (fd < 0) {
-          break;  // EAGAIN (drained) or a transient error — epoll re-arms
+          // EAGAIN (drained) or a transient error — epoll re-arms. Out of
+          // fds or kernel memory, though, accept4 fails again at once.
+          exhausted = errno == EMFILE || errno == ENFILE ||
+                      errno == ENOBUFS || errno == ENOMEM;
+          break;
         }
         (void)SetNoDelay(fd);
         accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -247,59 +302,48 @@ void AigsServer::AcceptLoop() {
         (void)!::write(worker.wake_fd, &one, sizeof(one));
       }
     }
+    if (exhausted) {
+      // The refused connection stays queued, so the level-triggered listen
+      // socket stays readable: back off rather than spin until fds free up.
+      std::this_thread::sleep_for(10ms);
+    }
   }
   CloseFd(epoll_fd);
 }
 
 void AigsServer::WorkerLoop(Worker& worker) {
-  const auto close_connection = [&](int fd) {
-    (void)::epoll_ctl(worker.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-    CloseFd(fd);
-    worker.connections.erase(fd);
-    open_.fetch_sub(1, std::memory_order_relaxed);
-  };
-  const auto want_write = [&](int fd, bool enable) {
-    epoll_event event{};
-    event.events = EPOLLIN | (enable ? EPOLLOUT : 0u);
-    event.data.fd = fd;
-    (void)::epoll_ctl(worker.epoll_fd, EPOLL_CTL_MOD, fd, &event);
-  };
-  // Flushes as much of the write buffer as the socket accepts; false means
-  // the connection died (or finished a condemned flush) and was closed.
-  const auto flush = [&](int fd, Connection& conn) -> bool {
-    while (!conn.write_buffer.empty()) {
-      const ssize_t n = ::send(fd, conn.write_buffer.data(),
-                               conn.write_buffer.size(), MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          want_write(fd, true);
-          return true;
-        }
-        close_connection(fd);  // EPIPE/ECONNRESET: peer is gone
-        return false;
-      }
-      conn.write_buffer.erase(0, static_cast<std::size_t>(n));
-    }
-    if (conn.close_after_flush) {
-      close_connection(fd);
-      return false;
-    }
-    want_write(fd, false);
-    return true;
-  };
-
   const std::uint32_t idle_ms = options_.idle_timeout_ms;
   const int wait_ms =
       idle_ms == 0 ? 500 : static_cast<int>(std::min<std::uint32_t>(
                                500, std::max<std::uint32_t>(idle_ms / 2, 1)));
   auto last_idle_scan = Clock::now();
+  nanoseconds poll_window = 0ns;
 
   while (running_.load(std::memory_order_acquire)) {
     epoll_event events[64];
-    const int n = ::epoll_wait(worker.epoll_fd, events, 64, wait_ms);
+    const auto wait_start = Clock::now();
+    auto woke = wait_start;
+    int n = 0;
+    if (poll_window > 0ns) {
+      const auto poll_end = wait_start + poll_window;
+      do {
+        n = ::epoll_wait(worker.epoll_fd, events, 64, 0);
+        woke = Clock::now();
+      } while (n == 0 && woke < poll_end);
+      worker.poll_ns.fetch_add(
+          static_cast<std::uint64_t>(
+              std::chrono::duration_cast<nanoseconds>(woke - wait_start)
+                  .count()),
+          std::memory_order_relaxed);
+    }
+    if (n == 0) {
+      n = ::epoll_wait(worker.epoll_fd, events, 64, wait_ms);
+      woke = Clock::now();
+      worker.parked_waits.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      worker.polled_waits.fetch_add(1, std::memory_order_relaxed);
+    }
+    poll_window = NextPollWindow(poll_window, woke - wait_start);
     if (n < 0 && errno != EINTR) {
       break;
     }
@@ -333,16 +377,16 @@ void AigsServer::WorkerLoop(Worker& worker) {
       }
       Connection& conn = it->second;
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
-        close_connection(fd);
+        CloseConnection(worker, fd);
         continue;
       }
       if ((events[i].events & EPOLLOUT) != 0) {
-        if (!flush(fd, conn)) {
+        if (!Flush(worker, fd, conn)) {
           continue;
         }
       }
       if ((events[i].events & EPOLLIN) != 0) {
-        conn.last_active = Clock::now();
+        conn.last_active = woke;
         bool closed = false;
         char buffer[16384];
         for (;;) {
@@ -365,10 +409,10 @@ void AigsServer::WorkerLoop(Worker& worker) {
           break;
         }
         if (closed) {
-          close_connection(fd);
+          CloseConnection(worker, fd);
           continue;
         }
-        ServeConnection(worker, fd);
+        ServeConnection(worker, fd, conn);
       }
     }
     if (idle_ms != 0) {
@@ -383,19 +427,14 @@ void AigsServer::WorkerLoop(Worker& worker) {
           }
         }
         for (const int fd : stale) {
-          close_connection(fd);
+          CloseConnection(worker, fd);
         }
       }
     }
   }
 }
 
-void AigsServer::ServeConnection(Worker& worker, int fd) {
-  auto it = worker.connections.find(fd);
-  if (it == worker.connections.end()) {
-    return;
-  }
-  Connection& conn = it->second;
+void AigsServer::ServeConnection(Worker& worker, int fd, Connection& conn) {
   std::size_t offset = 0;
   while (!conn.close_after_flush) {
     std::string_view payload;
@@ -424,37 +463,49 @@ void AigsServer::ServeConnection(Worker& worker, int fd) {
   if (offset > 0) {
     conn.read_buffer.erase(0, offset);
   }
-  if (!conn.write_buffer.empty() || conn.close_after_flush) {
-    // Reuse the worker's flush-or-arm-EPOLLOUT logic by sending inline.
-    while (!conn.write_buffer.empty()) {
-      const ssize_t n = ::send(fd, conn.write_buffer.data(),
-                               conn.write_buffer.size(), MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          epoll_event event{};
-          event.events = EPOLLIN | EPOLLOUT;
-          event.data.fd = fd;
-          (void)::epoll_ctl(worker.epoll_fd, EPOLL_CTL_MOD, fd, &event);
-          return;
-        }
-        (void)::epoll_ctl(worker.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-        CloseFd(fd);
-        worker.connections.erase(fd);
-        open_.fetch_sub(1, std::memory_order_relaxed);
-        return;
+  (void)Flush(worker, fd, conn);
+}
+
+bool AigsServer::Flush(Worker& worker, int fd, Connection& conn) {
+  const auto set_want_write = [&](bool enable) {
+    if (conn.want_write == enable) {
+      return;
+    }
+    conn.want_write = enable;
+    epoll_event event{};
+    event.events = EPOLLIN | (enable ? EPOLLOUT : 0u);
+    event.data.fd = fd;
+    (void)::epoll_ctl(worker.epoll_fd, EPOLL_CTL_MOD, fd, &event);
+  };
+  while (!conn.write_buffer.empty()) {
+    const ssize_t n = ::send(fd, conn.write_buffer.data(),
+                             conn.write_buffer.size(), MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
       }
-      conn.write_buffer.erase(0, static_cast<std::size_t>(n));
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        set_want_write(true);
+        return true;
+      }
+      CloseConnection(worker, fd);  // EPIPE/ECONNRESET: peer is gone
+      return false;
     }
-    if (conn.close_after_flush) {
-      (void)::epoll_ctl(worker.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-      CloseFd(fd);
-      worker.connections.erase(fd);
-      open_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    conn.write_buffer.erase(0, static_cast<std::size_t>(n));
   }
+  if (conn.close_after_flush) {
+    CloseConnection(worker, fd);
+    return false;
+  }
+  set_want_write(false);
+  return true;
+}
+
+void AigsServer::CloseConnection(Worker& worker, int fd) {
+  (void)::epoll_ctl(worker.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
+  CloseFd(fd);
+  worker.connections.erase(fd);
+  open_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 }  // namespace aigs::net

@@ -3,7 +3,9 @@
 // N worker event loops; each worker owns its connections outright (their
 // fds, read/write buffers, and idle clocks), so no per-request lock is
 // shared between workers — the Engine's own thread safety is the only
-// synchronization on the hot path.
+// synchronization on the hot path. A worker polls its epoll set for a
+// short adaptive window before it parks (server.cc), so back-to-back
+// requests on a busy worker skip the sleep and the wake-up.
 //
 // Protocol: aigs-wire/1 (net/wire.h), one request frame in, one response
 // frame out, pipelining allowed (a client may send several requests before
@@ -81,14 +83,30 @@ class AigsServer {
     return open_.load(std::memory_order_relaxed);
   }
 
+  /// Poll-window counters, summed over the workers since Start() (read
+  /// them while the server runs, not concurrently with Start/Stop): waits
+  /// whose events arrived while the worker was still polling, waits that
+  /// parked in a blocking epoll_wait, and total time spent polling.
+  std::uint64_t polled_waits() const;
+  std::uint64_t parked_waits() const;
+  std::uint64_t poll_ns() const;
+
  private:
+  struct Connection;
   struct Worker;
 
   void AcceptLoop();
   void WorkerLoop(Worker& worker);
-  /// Drains the worker's read buffer of complete frames: dispatch,
+  /// Drains the connection's read buffer of complete frames: dispatch,
   /// respond, or (on corrupt framing) mark the connection for close.
-  void ServeConnection(Worker& worker, int fd);
+  void ServeConnection(Worker& worker, int fd, Connection& conn);
+  /// Sends as much of the write buffer as the socket accepts, keeping
+  /// EPOLLOUT armed exactly while bytes are pending. False means the
+  /// connection died (or finished a condemned flush) and was closed.
+  bool Flush(Worker& worker, int fd, Connection& conn);
+  void CloseConnection(Worker& worker, int fd);
+  std::uint64_t SumOverWorkers(
+      std::atomic<std::uint64_t> Worker::*counter) const;
 
   Engine& engine_;
   ServerOptions options_;

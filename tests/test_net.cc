@@ -3,10 +3,15 @@
 // disconnects), the epoll server + blocking client end to end, the
 // consistent-hash ShardRouter's placement properties, the per-op Engine
 // traffic counters, and the loadgen driver.
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -33,6 +38,7 @@ namespace aigs::net {
 namespace {
 
 using aigs::testing::MustBuild;
+using namespace std::chrono_literals;
 
 // ---- fixtures --------------------------------------------------------------
 
@@ -689,6 +695,211 @@ TEST(ServerClient, StopFlushesTheDurableStore) {
   EXPECT_EQ(stats->recovered, 1u);
   EXPECT_TRUE(recovered.Ask(id).ok());
   std::filesystem::remove_all(dir);
+}
+
+// ---- worker poll window + acceptor backoff: CPU bounds ----------------------
+
+/// The server's kSpinStart: the shortest nonzero poll window.
+constexpr std::uint64_t kSpinStartNs = 8'000;
+
+/// User + system CPU time of the whole process, every server thread
+/// included.
+std::chrono::microseconds ProcessCpu() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto micros = [](const timeval& t) {
+    return std::chrono::seconds(t.tv_sec) +
+           std::chrono::microseconds(t.tv_usec);
+  };
+  return micros(usage.ru_utime) + micros(usage.ru_stime);
+}
+
+/// Process CPU burnt over `window` of wall time while the test sleeps.
+std::chrono::microseconds CpuOver(std::chrono::milliseconds window) {
+  const auto before = ProcessCpu();
+  std::this_thread::sleep_for(window);
+  return ProcessCpu() - before;
+}
+
+TEST(PollWindow, IdleServerParksAfterABurst) {
+  const Hierarchy h = TestHierarchy();
+  Backend backend(h);
+
+  LoadgenOptions options;
+  options.targets = {backend.server.endpoint()};
+  options.connections = 2;
+  options.max_requests = 4000;
+  options.hierarchy = &h;
+  auto result = RunLoadgen(options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->errors, 0u);
+#ifndef AIGS_TEST_SANITIZED
+  // A closed loop's next request lands while the worker still polls.
+  EXPECT_GT(backend.server.polled_waits(), 0u);
+#endif
+  // Once the burst ends the workers park: no poll window survives a wait
+  // longer than kSpinMax.
+  EXPECT_LT(CpuOver(300ms), 15ms);
+}
+
+TEST(PollWindow, PacedRequestsParkAndPollBriefly) {
+  const Hierarchy h = TestHierarchy();
+  ServerOptions options;
+  options.workers = 1;
+  Backend backend(h, {"greedy"}, options);
+
+  AigsClient client;
+  ASSERT_TRUE(client.Connect(backend.server.endpoint()).ok());
+  auto id = client.Open("greedy");
+  ASSERT_TRUE(id.ok());
+  const std::uint64_t polled = backend.server.polled_waits();
+  const std::uint64_t parked = backend.server.parked_waits();
+  const std::uint64_t poll_ns = backend.server.poll_ns();
+  constexpr std::uint64_t kRequests = 100;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    std::this_thread::sleep_for(2ms);
+    ASSERT_TRUE(client.Ask(*id).ok());
+  }
+  const std::uint64_t polled_waits = backend.server.polled_waits() - polled;
+  const std::uint64_t parked_waits = backend.server.parked_waits() - parked;
+  // Every request ended a wait of its own.
+  EXPECT_GE(polled_waits + parked_waits, kRequests);
+#ifndef AIGS_TEST_SANITIZED
+  // Each 2 ms wait halves the window, so it is 0 within a few requests: the
+  // polling per request stays far below kSpinMax (64 µs), which a window
+  // that never shrank would spend on every request.
+  EXPECT_LE((backend.server.poll_ns() - poll_ns) / kRequests, kSpinStartNs);
+  EXPECT_GT(parked_waits, polled_waits);
+#else
+  (void)poll_ns;
+#endif
+}
+
+TEST(PollWindow, StopReturnsPromptlyMidBurst) {
+  const Hierarchy h = TestHierarchy();
+  Backend backend(h);
+
+  AigsClient client;
+  ASSERT_TRUE(client.Connect(backend.server.endpoint()).ok());
+  auto id = client.Open("greedy");
+  ASSERT_TRUE(id.ok());
+  const SessionId session = *id;
+  std::atomic<int> served{0};
+  // The burst ends when Stop() closes the connection under it.
+  std::thread burst([&client, &served, session] {
+    while (client.Ask(session).ok()) {
+      served.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (served.load(std::memory_order_relaxed) < 200 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  backend.server.Stop();
+  const auto took = std::chrono::steady_clock::now() - start;
+  burst.join();
+  EXPECT_GE(served.load(), 200);
+  EXPECT_LT(took, 100ms);
+}
+
+/// Lowers the soft RLIMIT_NOFILE to `limit` and opens fds until none is
+/// left below it; the destructor frees them and restores the limit.
+class FdTableFull {
+ public:
+  explicit FdTableFull(rlim_t limit) {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = std::min(saved_.rlim_cur, limit);
+    ::setrlimit(RLIMIT_NOFILE, &lowered);
+    for (;;) {
+      const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+      if (fd < 0) {
+        full_ = errno == EMFILE;
+        break;
+      }
+      fds_.push_back(fd);
+    }
+  }
+  ~FdTableFull() {
+    for (const int fd : fds_) {
+      CloseFd(fd);
+    }
+    ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  FdTableFull(const FdTableFull&) = delete;
+  FdTableFull& operator=(const FdTableFull&) = delete;
+
+  bool full() const { return full_; }
+
+ private:
+  rlimit saved_{};
+  std::vector<int> fds_;
+  bool full_ = false;
+};
+
+bool ConnectLoopback(int fd, std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  return ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)) == 0;
+}
+
+TEST(ServerClient, AcceptorBacksOffAtTheFdLimit) {
+  const Hierarchy h = TestHierarchy();
+  Backend backend(h);
+
+  // Client sockets take their fds before the table fills and connect
+  // after, so every connection waits in the backlog on an accept4 that
+  // fails with EMFILE.
+  std::vector<int> clients;
+  for (int i = 0; i < 4; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    clients.push_back(fd);
+  }
+  {
+    FdTableFull table(256);
+    ASSERT_TRUE(table.full());
+    for (const int fd : clients) {
+      ASSERT_TRUE(ConnectLoopback(fd, backend.server.port()));
+    }
+    EXPECT_LT(CpuOver(300ms), 30ms);  // < 10% of a core
+    EXPECT_EQ(backend.server.connections_accepted(), 0u);
+  }
+
+  // With fds free again the queued connections are accepted and served.
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ASSERT_EQ(::setsockopt(clients[0], SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  WireRequest open;
+  open.op = WireOp::kOpen;
+  open.text = "greedy";
+  ASSERT_TRUE(SendAll(clients[0], EncodeRequest(open)).ok());
+  std::string received;
+  std::string_view payload;
+  std::size_t consumed = 0;
+  while (ExtractFrame(received, &payload, &consumed, nullptr) ==
+         FrameStatus::kNeedMore) {
+    char buffer[4096];
+    auto n = RecvSome(clients[0], buffer, sizeof(buffer));
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    ASSERT_GT(*n, 0u) << "server closed the connection";
+    received.append(buffer, *n);
+  }
+  WireResponse response;
+  ASSERT_TRUE(DecodeResponsePayload(payload, &response).ok());
+  EXPECT_TRUE(response.ok()) << response.message;
+  EXPECT_EQ(response.op, WireOp::kOpen);
+  for (const int fd : clients) {
+    CloseFd(fd);
+  }
+  EXPECT_EQ(backend.server.connections_accepted(), 4u);
 }
 
 // ---- consistent-hash ring + router ----------------------------------------

@@ -13,6 +13,16 @@
 #include "prob/distribution.h"
 #include "util/common.h"
 
+// Defined under ASan or TSan, whose allocators and slowdowns void some
+// measurement-based assertions.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define AIGS_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define AIGS_TEST_SANITIZED 1
+#endif
+#endif
+
 namespace aigs::testing {
 
 /// Builds a Hierarchy or dies.

@@ -221,14 +221,6 @@ TEST(MiddlePoint, GetReachableSetWeightHonorsCandidates) {
 
 // ---- Session memory -----------------------------------------------------------
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define AIGS_TEST_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define AIGS_TEST_SANITIZED 1
-#endif
-#endif
-
 std::size_t HeapBytesInUse() {
   const struct mallinfo2 info = mallinfo2();
   return info.uordblks + info.hblkhd;
