@@ -387,8 +387,6 @@ StatusOr<ScenarioResult> RunScenario(const ScenarioSpec& spec,
       // enabled. Bit-identical cost aggregates to the in-process branch.
       EngineOptions engine_options;
       engine_options.plan_cache.enabled = spec.plan_cache;
-      // Inline drains: scenario timing must not race a background worker.
-      engine_options.drain.background = false;
       Engine engine(engine_options);
       CatalogConfig config;
       config.hierarchy = UnownedHierarchy(h);

@@ -38,12 +38,7 @@ StatusOr<OnlineSeries> RunOnlineLearning(const Hierarchy& hierarchy,
   std::vector<long double> block_cost_sum(num_blocks, 0);
   long double grand_sum = 0;
 
-  // Inline drains: the evaluator publishes many epochs back to back and
-  // measures costs deterministically — background batching and thread
-  // scheduling have no business in the numbers.
-  EngineOptions engine_options;
-  engine_options.drain.background = false;
-  Engine engine(engine_options);
+  Engine engine;
   std::uint64_t epochs_published = 0;
   const auto publish = [&](const EmpiricalCounts& counts) -> Status {
     CatalogConfig config;
@@ -51,6 +46,9 @@ StatusOr<OnlineSeries> RunOnlineLearning(const Hierarchy& hierarchy,
     config.distribution = counts.ToDistribution();
     config.policy_specs = {policy_spec};
     AIGS_RETURN_NOT_OK(engine.Publish(std::move(config)).status());
+    // Every epoch starts from a settled drain (the warm seed finished), so
+    // each block's searches see the same trie whatever the scheduling.
+    engine.WaitForDrain();
     ++epochs_published;
     return Status::OK();
   };

@@ -10,8 +10,11 @@
 
 namespace aigs {
 
-/// Background drain pipeline: one coordinator thread consuming publish
-/// jobs plus a small private pool that migrates sessions within a batch.
+/// The drain pipeline, the one place warm-seeding and the idle-session
+/// sweep run: one coordinator thread consuming publish (and `warm`) jobs
+/// plus a small private pool that migrates sessions within a batch. Both
+/// start with the first job, so an engine that never republishes runs no
+/// drain threads (nor does a process forked before its first republish).
 ///
 /// Cancellation model: Enqueue bumps a generation; the coordinator checks
 /// it between batches (and per tick inside a batch pass), so a newer
@@ -24,14 +27,12 @@ namespace aigs {
 /// SessionManager::Peek (no TTL refresh — an evicted session is never
 /// resurrected), takes the session mutex with try_lock (a session touched
 /// by a live request is retried next tick, never blocked on), and leaves
-/// mid-question sessions pinned exactly like the inline sweep.
+/// mid-question sessions pinned (migrating would change the question under
+/// the client).
 class EpochDrainWorker {
  public:
   EpochDrainWorker(Engine* engine, DrainOptions options)
-      : engine_(engine),
-        options_(options),
-        pool_(std::max<std::size_t>(1, options.max_concurrency)),
-        coordinator_([this] { Loop(); }) {}
+      : engine_(engine), options_(options) {}
 
   ~EpochDrainWorker() {
     {
@@ -41,19 +42,29 @@ class EpochDrainWorker {
     }
     work_cv_.notify_all();
     idle_cv_.notify_all();
-    coordinator_.join();
+    if (coordinator_.joinable()) {
+      coordinator_.join();
+    }
   }
 
   /// Replaces any pending job (the newest publish wins) and cancels the
-  /// running one at its next batch boundary.
+  /// running one at its next batch boundary. A sweep owed by either job
+  /// carries over, so a warm-only job never cancels a publish's sweep.
   void Enqueue(std::shared_ptr<PlanCache> cache,
                std::shared_ptr<PlanCache> warm_source, bool sweep) {
     {
       std::lock_guard<std::mutex> lock(mu_);
+      sweep = sweep || (has_pending_ && pending_.sweep) ||
+              (active_ && active_sweep_);
       pending_ = Job{std::move(cache), std::move(warm_source), sweep};
       has_pending_ = true;
       generation_.fetch_add(1, std::memory_order_relaxed);
       drains_.fetch_add(1, std::memory_order_relaxed);
+      if (!coordinator_.joinable()) {
+        pool_ = std::make_unique<ThreadPool>(
+            std::max<std::size_t>(1, options_.max_concurrency));
+        coordinator_ = std::thread([this] { Loop(); });
+      }
     }
     work_cv_.notify_all();
   }
@@ -67,7 +78,6 @@ class EpochDrainWorker {
 
   DrainStats Snapshot() const {
     DrainStats stats;
-    stats.background = true;
     stats.phase =
         static_cast<DrainPhase>(phase_.load(std::memory_order_relaxed));
     stats.target_epoch = target_epoch_.load(std::memory_order_relaxed);
@@ -77,6 +87,7 @@ class EpochDrainWorker {
     stats.batches = batches_.load(std::memory_order_relaxed);
     stats.last_batch = last_batch_.load(std::memory_order_relaxed);
     stats.migrated = migrated_.load(std::memory_order_relaxed);
+    stats.divergent_steps = divergent_steps_.load(std::memory_order_relaxed);
     stats.failed = failed_.load(std::memory_order_relaxed);
     stats.skipped_pinned = skipped_pinned_.load(std::memory_order_relaxed);
     stats.retried_busy = retried_busy_.load(std::memory_order_relaxed);
@@ -114,6 +125,7 @@ class EpochDrainWorker {
         job = std::move(pending_);
         has_pending_ = false;
         active_ = true;
+        active_sweep_ = job.sweep;
         generation = generation_.load(std::memory_order_relaxed);
       }
       RunJob(job, generation);
@@ -128,9 +140,9 @@ class EpochDrainWorker {
   }
 
   void RunJob(const Job& job, std::uint64_t generation) {
-    // Re-read the engine's CURRENT epoch state: publishes are serialized
-    // by the snapshot mutex, so this is the newest epoch even when the
-    // Enqueue that carried `job` raced another publish.
+    // Re-read the engine's CURRENT epoch state: publishers enqueue under
+    // the engine's publish mutex after their swap, so this is the newest
+    // epoch even when the Enqueue that carried `job` raced another publish.
     std::shared_ptr<const CatalogSnapshot> snapshot;
     std::shared_ptr<PlanCache> current_cache;
     engine_->CurrentEpochState(&snapshot, &current_cache);
@@ -221,7 +233,7 @@ class EpochDrainWorker {
         }
         const std::size_t end =
             std::min(start + options_.batch_size, work.size());
-        pool_.ParallelFor(end - start, [&](std::size_t i) {
+        pool_->ParallelFor(end - start, [&](std::size_t i) {
           DrainSession(work[start + i].first, work[start + i].second,
                        target_epoch, &retry, &retry_mu);
         });
@@ -280,8 +292,11 @@ class EpochDrainWorker {
       skipped_pinned_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    if (engine_->MigrateLocked(id, *session).ok()) {
+    if (const auto result = engine_->MigrateLocked(id, *session);
+        result.ok()) {
       migrated_.fetch_add(1, std::memory_order_relaxed);
+      divergent_steps_.fetch_add(result->divergent_steps,
+                                 std::memory_order_relaxed);
     } else {
       failed_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -289,7 +304,7 @@ class EpochDrainWorker {
 
   Engine* engine_;
   DrainOptions options_;
-  ThreadPool pool_;
+  std::unique_ptr<ThreadPool> pool_;  // set with coordinator_
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
@@ -297,6 +312,7 @@ class EpochDrainWorker {
   Job pending_;
   bool has_pending_ = false;
   bool active_ = false;
+  bool active_sweep_ = false;  // the running job's sweep flag
   bool shutdown_ = false;
 
   std::atomic<std::uint64_t> generation_{0};
@@ -311,6 +327,7 @@ class EpochDrainWorker {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::size_t> last_batch_{0};
   std::atomic<std::uint64_t> migrated_{0};
+  std::atomic<std::uint64_t> divergent_steps_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> skipped_pinned_{0};
   std::atomic<std::uint64_t> retried_busy_{0};
@@ -319,7 +336,7 @@ class EpochDrainWorker {
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> rolled_forward_{0};
 
-  std::thread coordinator_;  // last: joined before members die
+  std::thread coordinator_;  // started by the first Enqueue; joined first
 };
 
 const char* DrainPhaseName(DrainPhase phase) {
@@ -441,26 +458,18 @@ SerializedSession SnapshotState(const ServiceSession& session) {
 }  // namespace
 
 Engine::Engine(EngineOptions options)
-    : options_(options), sessions_(std::move(options.sessions)) {
-  if (options_.drain.background) {
-    drain_ = std::make_unique<EpochDrainWorker>(this, options_.drain);
-  }
-}
+    : options_(options),
+      sessions_(std::move(options.sessions)),
+      drain_(std::make_unique<EpochDrainWorker>(this, options_.drain)) {}
 
 // Out of line so ~EpochDrainWorker is visible; drain_ is declared last and
 // therefore destroyed first, stopping its threads while the rest of the
 // engine is still alive.
 Engine::~Engine() = default;
 
-void Engine::WaitForDrain() {
-  if (drain_ != nullptr) {
-    drain_->Wait();
-  }
-}
+void Engine::WaitForDrain() { drain_->Wait(); }
 
-DrainStats Engine::DrainProgress() const {
-  return drain_ != nullptr ? drain_->Snapshot() : DrainStats{};
-}
+DrainStats Engine::DrainProgress() const { return drain_->Snapshot(); }
 
 StatusOr<std::shared_ptr<const CatalogSnapshot>> Engine::Publish(
     CatalogConfig config) {
@@ -473,46 +482,41 @@ StatusOr<std::shared_ptr<const CatalogSnapshot>> Engine::Publish(
     // sharding the per-spec policy builds on the default pool is safe.
     config.build_pool = &ThreadPool::Default();
   }
+  // The build runs under the publisher lock alone: Open, Resume, Stats
+  // and snapshot() keep serving the old epoch until the swap below.
+  std::lock_guard<std::mutex> publish_lock(publish_mutex_);
+  AIGS_ASSIGN_OR_RETURN(
+      snapshot, CatalogSnapshot::Build(std::move(config), next_epoch_));
+  ++next_epoch_;
+  // A fresh epoch gets a fresh plan trie; the old one is retained once
+  // (the warm-seed source and the `warm` REPL command) and then retires
+  // with its snapshot's refcount — a publish invalidates every stale plan
+  // without any flush or version check on the hot path.
+  if (options_.plan_cache.enabled) {
+    cache = std::make_shared<PlanCache>(options_.plan_cache);
+  }
+  // The pair two epochs back leaves the retention slot here but is freed
+  // after the swap lock drops.
+  std::shared_ptr<const CatalogSnapshot> retired_snapshot;
+  std::shared_ptr<PlanCache> retired_cache;
   {
     std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    AIGS_ASSIGN_OR_RETURN(
-        snapshot, CatalogSnapshot::Build(std::move(config), next_epoch_));
-    ++next_epoch_;
     old_snapshot = std::exchange(snapshot_, snapshot);
-    // A fresh epoch gets a fresh plan trie; the old one is retained once
-    // (the warm-seed source and the `warm` REPL command) and then retires
-    // with its snapshot's refcount — a publish invalidates every stale plan
-    // without any flush or version check on the hot path.
-    old_cache = std::exchange(
-        plan_cache_, options_.plan_cache.enabled
-                         ? std::make_shared<PlanCache>(options_.plan_cache)
-                         : nullptr);
-    previous_snapshot_ = old_snapshot;
-    previous_plan_cache_ = old_cache;
-    cache = plan_cache_;
+    old_cache = std::exchange(plan_cache_, cache);
+    retired_snapshot = std::exchange(previous_snapshot_, old_snapshot);
+    retired_cache = std::exchange(previous_plan_cache_, old_cache);
   }
-  // Both follow-ups run outside the snapshot mutex: they only touch the
-  // captured shared_ptrs and per-session mutexes, so concurrent traffic
-  // (and even a concurrent Publish) proceeds. With a background worker
-  // they are handed off entirely — Publish stays O(1) in the session
-  // count — and a drain already in flight rolls forward to this epoch.
+  // Both follow-ups go to the drain worker — Publish stays O(1) in the
+  // session count — and a drain already in flight rolls forward to this
+  // epoch. Enqueued before the publisher lock drops, so jobs reach the
+  // worker in epoch order.
   const bool warm = cache != nullptr && old_cache != nullptr &&
                     options_.plan_cache.warm_publish;
   const bool sweep =
       options_.migration.sweep_on_publish && old_snapshot != nullptr;
-  if (drain_ != nullptr) {
-    if (warm || sweep) {
-      drain_->Enqueue(warm ? cache : nullptr, warm ? old_cache : nullptr,
-                      sweep);
-    }
-  } else {
-    if (warm) {
-      WarmSeed(*snapshot, *cache, *old_cache,
-               options_.plan_cache.warm_budget);
-    }
-    if (sweep) {
-      MigrateIdleSessions();
-    }
+  if (warm || sweep) {
+    drain_->Enqueue(warm ? cache : nullptr, warm ? old_cache : nullptr,
+                    sweep);
   }
   return snapshot;
 }
@@ -1029,61 +1033,6 @@ StatusOr<MigrateResult> Engine::MigrateImpl(SessionId id) {
   return MigrateLocked(id, *session);
 }
 
-MigrateSweepStats Engine::MigrateIdleSessions() {
-  MigrateSweepStats stats;
-  std::shared_ptr<const CatalogSnapshot> current;
-  std::shared_ptr<PlanCache> cache;
-  CurrentEpochState(&current, &cache);
-  if (current == nullptr) {
-    return stats;
-  }
-  for (auto& [id, session] : sessions_.SnapshotSessions()) {
-    if (session == nullptr) {
-      continue;
-    }
-    ++stats.scanned;
-    // Liveness re-check WITHOUT a TTL refresh (same contract as the
-    // background sweep): an entry the manager evicted since the capture is
-    // dropped, never resurrected or double-counted.
-    if (sessions_.Peek(id) != session) {
-      ++stats.expired;
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(session->mutex, std::try_to_lock);
-    if (!lock.owns_lock()) {
-      ++stats.skipped_busy;  // another operation holds it: not idle
-      continue;
-    }
-    if (session->snapshot.get() == current.get()) {
-      ++stats.already_current;
-      continue;
-    }
-    if (session->has_pending) {
-      // The client owes an answer to a question it has already been shown;
-      // migrating now would change that question under them. Leave the
-      // session pinned — it migrates after its next answer, or drains.
-      ++stats.skipped_busy;
-      continue;
-    }
-    if (const auto result = MigrateLocked(id, *session); result.ok()) {
-      ++stats.migrated;
-      stats.divergent_steps += result->divergent_steps;
-    } else {
-      ++stats.failed;
-    }
-  }
-  return stats;
-}
-
-std::size_t Engine::WarmSeed(const CatalogSnapshot& snap, PlanCache& target,
-                             const PlanCache& source, std::size_t budget) {
-  std::size_t seeded = 0;
-  for (const HotPrefix& prefix : source.HottestPrefixes(budget)) {
-    seeded += WarmSeedPrefix(snap, target, prefix) ? 1 : 0;
-  }
-  return seeded;
-}
-
 bool Engine::WarmSeedPrefix(const CatalogSnapshot& snap, PlanCache& target,
                             const HotPrefix& prefix) {
   const std::size_t num_nodes = snap.hierarchy().NumNodes();
@@ -1117,28 +1066,26 @@ bool Engine::WarmSeedPrefix(const CatalogSnapshot& snap, PlanCache& target,
 }
 
 StatusOr<std::size_t> Engine::Warm() {
-  std::shared_ptr<const CatalogSnapshot> snap;
-  std::shared_ptr<PlanCache> cache;
-  std::shared_ptr<PlanCache> source;
   {
-    std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    snap = snapshot_;
-    cache = plan_cache_;
-    source = previous_plan_cache_;
+    // Publish writes the epoch state under this lock too, so the reads
+    // need no snapshot lock, and no publish slips between them and the
+    // enqueue.
+    std::lock_guard<std::mutex> publish_lock(publish_mutex_);
+    if (snapshot_ == nullptr) {
+      return Status::FailedPrecondition(
+          "no catalog snapshot published yet — call Publish first");
+    }
+    if (plan_cache_ == nullptr) {
+      return Status::FailedPrecondition("the plan cache is disabled");
+    }
+    if (previous_plan_cache_ == nullptr) {
+      return Status::FailedPrecondition(
+          "no previous epoch's trie to seed from (publish at least twice)");
+    }
+    drain_->Enqueue(plan_cache_, previous_plan_cache_, /*sweep=*/false);
   }
-  if (snap == nullptr) {
-    return Status::FailedPrecondition(
-        "no catalog snapshot published yet — call Publish first");
-  }
-  if (cache == nullptr) {
-    return Status::FailedPrecondition("the plan cache is disabled");
-  }
-  if (source == nullptr) {
-    return Status::FailedPrecondition(
-        "no previous epoch's trie to seed from (publish at least twice)");
-  }
-  return WarmSeed(*snap, *cache, *source,
-                  options_.plan_cache.warm_budget);
+  drain_->Wait();
+  return drain_->Snapshot().warm_seeded;
 }
 
 Status Engine::CloseImpl(SessionId id) {
@@ -1351,9 +1298,7 @@ EngineStats Engine::Stats() const {
         rejected_by_code_[code].load(std::memory_order_relaxed);
     stats.ops.rejected += stats.ops.rejected_by_code[code];
   }
-  if (drain_ != nullptr) {
-    stats.drain = drain_->Snapshot();
-  }
+  stats.drain = drain_->Snapshot();
   if (DurableStore* store = durable_.load(std::memory_order_acquire)) {
     stats.durable = true;
     stats.durability = store->Stats();

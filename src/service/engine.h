@@ -12,8 +12,7 @@
 //     blob   = engine.Save(id)                // suspend across restarts
 //     id2    = engine.Resume(blob)            // exact replay-based restore
 //
-// Epoch lifecycle (PR 5, backgrounded in PR 6). A publish no longer
-// strands the old epoch:
+// Epoch lifecycle. A publish does not strand the old epoch:
 //
 //  * WARM SEED — before the fresh plan trie serves cold, the hottest
 //    prefixes of the outgoing trie are harvested and replayed against the
@@ -28,14 +27,16 @@
 //    (budget exceeded, client mid-question) stay safely on their old
 //    epoch.
 //
-// By default BOTH run on a background EpochDrainWorker: Publish itself is
-// a constant-time pointer swap (O(1) in the session count — the SLO the
-// epoch_lifecycle bench guards) and the drain proceeds in bounded batches
-// concurrent with live traffic. Sessions touched by a live request are
-// skipped and retried next tick; a second Publish mid-drain rolls the
-// drain forward to the newest epoch. DrainOptions{background=false}
-// restores the PR-5 inline behavior (deterministic single-threaded
-// drains for evaluators and tests).
+// Both run only on the engine's EpochDrainWorker. Publish builds the
+// snapshot without blocking Open or Stats, swaps it in under a short lock,
+// and hands the follow-up to the worker, so the swap is O(1) in the session
+// count (the SLO the epoch_lifecycle bench guards). The drain proceeds in
+// bounded batches concurrent with live traffic: sessions touched by a live
+// request are skipped and retried next tick, and a second Publish
+// mid-drain rolls the drain forward to the newest epoch. Policies are
+// deterministic (Definition 6), so a migrated session asks the same
+// questions whichever thread replays it; callers that need the drain
+// finished (tests, benches, the online evaluator) call WaitForDrain().
 //
 // Every operation is thread-safe and returns Status instead of aborting: a
 // client that answers the wrong kind of question, an unknown ID, or a
@@ -102,13 +103,9 @@ struct MigrationOptions {
   bool sweep_on_publish = true;
 };
 
-/// Background drain pipeline knobs (the publish→warm→sweep pipeline).
+/// Drain worker knobs (the publish→warm→sweep pipeline that runs after
+/// every Publish).
 struct DrainOptions {
-  /// Run the warm seed and the migration sweep on a background worker so
-  /// Publish returns after the O(1) snapshot swap. When false both run
-  /// inline on the publishing thread (the PR-5 behavior) — deterministic,
-  /// single-threaded, and linear in the session count.
-  bool background = true;
   /// Sessions migrated (or hot prefixes replayed) per batch; between
   /// batches the worker checks for shutdown and newer publishes.
   std::size_t batch_size = 256;
@@ -120,7 +117,7 @@ struct DrainOptions {
   std::size_t max_concurrency = 2;
 };
 
-/// Where the background drain pipeline currently is.
+/// Where the drain pipeline currently is.
 enum class DrainPhase : std::uint8_t {
   kIdle = 0,      ///< no drain in flight
   kWarming = 1,   ///< replaying hot prefixes into the fresh plan trie
@@ -130,10 +127,8 @@ enum class DrainPhase : std::uint8_t {
 /// Lowercase phase name for logs and the serve REPL.
 const char* DrainPhaseName(DrainPhase phase);
 
-/// Point-in-time progress of the background drain pipeline.
+/// Point-in-time progress of the drain pipeline.
 struct DrainStats {
-  /// True when the engine runs a background drain worker at all.
-  bool background = false;
   DrainPhase phase = DrainPhase::kIdle;
   /// Epoch the in-flight (or last) drain targets; 0 before any drain.
   std::uint64_t target_epoch = 0;
@@ -147,6 +142,7 @@ struct DrainStats {
   std::uint64_t batches = 0;       ///< sweep batches run
   std::size_t last_batch = 0;      ///< sessions visited by the last batch
   std::uint64_t migrated = 0;      ///< sessions migrated by sweeps
+  std::uint64_t divergent_steps = 0;  ///< divergent steps across them
   std::uint64_t failed = 0;        ///< sessions whose replay failed
   std::uint64_t skipped_pinned = 0;  ///< mid-question; left on old epoch
   std::uint64_t retried_busy = 0;  ///< lock-busy; retried a later tick
@@ -176,23 +172,6 @@ struct MigrateResult {
   /// Recorded questions the new epoch's planner would not have asked,
   /// folded in via the observed-step appliers (exact count; the same steps
   /// carry the `d` flag in a subsequent Save).
-  std::size_t divergent_steps = 0;
-};
-
-/// Outcome of one idle-session migration sweep.
-struct MigrateSweepStats {
-  std::size_t scanned = 0;
-  std::size_t migrated = 0;
-  std::size_t already_current = 0;
-  /// Sessions skipped because another operation held them or a client owes
-  /// an answer to an already-shown question (migrating would change the
-  /// question under the client).
-  std::size_t skipped_busy = 0;
-  std::size_t failed = 0;
-  /// Sessions that expired (TTL) between the sweep's capture and its visit
-  /// — neither migrated nor failed, just gone (never resurrected).
-  std::size_t expired = 0;
-  /// Total divergent steps across the migrated sessions' transcripts.
   std::size_t divergent_steps = 0;
 };
 
@@ -264,7 +243,7 @@ struct EngineStats {
   /// Cumulative migration counters (explicit Migrate + publish sweeps).
   std::uint64_t sessions_migrated = 0;
   std::uint64_t migration_failures = 0;
-  /// Background drain pipeline progress (zeros when background is off).
+  /// Drain pipeline progress.
   DrainStats drain;
   /// Durable session store state (durable=false ⇒ the rest is zeros).
   bool durable = false;
@@ -282,7 +261,7 @@ class Engine {
  public:
   explicit Engine(EngineOptions options = {});
 
-  /// Stops the background drain worker (abandoning any in-flight drain —
+  /// Stops the drain worker (abandoning any in-flight drain —
   /// undrained sessions are simply still on their old epoch) before the
   /// session store and snapshots go away.
   ~Engine();
@@ -293,22 +272,23 @@ class Engine {
   // ---- snapshot lifecycle ---------------------------------------------------
 
   /// Builds a snapshot from `config` at the next epoch and makes it
-  /// current. The follow-up work — warm-seeding the new plan trie from the
-  /// old epoch's hottest prefixes and migrating idle sessions over — runs
-  /// on the background drain worker (or inline, per DrainOptions), so the
-  /// call itself is O(1) in the session count past the snapshot build.
-  /// Existing busy sessions keep the snapshot they are on; traffic never
-  /// pauses.
+  /// current. The build holds only the publisher lock, so Open, Resume,
+  /// Stats and snapshot() keep serving the old epoch meanwhile; the swap
+  /// itself is a short critical section. The follow-up work — warm-seeding
+  /// the new plan trie from the old epoch's hottest prefixes and migrating
+  /// idle sessions over — is handed to the drain worker, so the call is
+  /// O(1) in the session count past the snapshot build. A failed build
+  /// consumes no epoch. Existing busy sessions keep the snapshot they are
+  /// on; traffic never pauses.
   StatusOr<std::shared_ptr<const CatalogSnapshot>> Publish(
       CatalogConfig config);
 
-  /// Blocks until no drain job is pending or running (immediately when
-  /// background draining is off). Tests and benchmarks use this to make
-  /// the asynchronous pipeline deterministic; a server never needs it.
+  /// Blocks until no drain job is pending or running. Callers that read
+  /// what a publish's drain produced (migrated sessions, seeded trie
+  /// entries) wait here first; a server never needs it.
   void WaitForDrain();
 
-  /// Progress of the background drain pipeline (all zeros with `background`
-  /// false when draining runs inline).
+  /// Progress of the drain pipeline.
   DrainStats DrainProgress() const;
 
   /// The current snapshot (null before the first Publish).
@@ -373,15 +353,11 @@ class Engine {
   StatusOr<MigrateResult> Migrate(const std::string& serialized,
                                   SessionId proposed_id = 0);
 
-  /// Migrates every idle old-epoch session onto the current snapshot (the
-  /// sweep Publish runs automatically when sweep_on_publish is set).
-  /// Sessions that are busy, mid-question, or fail to replay stay on their
-  /// old epoch.
-  MigrateSweepStats MigrateIdleSessions();
-
   /// Re-seeds the CURRENT epoch's trie from the previous epoch's hottest
   /// prefixes (the publish-time warm path, callable on demand — the serve
-  /// REPL's `warm` command). Returns the number of prefixes replayed.
+  /// REPL's `warm` command): runs a warm-only job on the drain worker and
+  /// waits for it. A sweep the job supersedes is carried over, not lost.
+  /// Returns the number of prefixes replayed.
   StatusOr<std::size_t> Warm();
 
   /// Closes and discards a session.
@@ -532,17 +508,18 @@ class Engine {
   StatusOr<MigrateResult> MigrateLocked(SessionId id,
                                         ServiceSession& session);
 
-  /// Replays up to `budget` hot prefixes of `source` against `snap`'s
-  /// planners, inserting the plans into `target` as seeded entries.
-  /// Returns the number of prefixes replayed (skipping unreplayable ones).
-  std::size_t WarmSeed(const CatalogSnapshot& snap, PlanCache& target,
-                       const PlanCache& source, std::size_t budget);
-
-  /// Replays ONE hot prefix (the batch unit of the background warm phase).
+  /// Replays ONE hot prefix (the batch unit of the drain's warm phase).
   /// True when the full prefix replayed onto `snap`'s planners.
   bool WarmSeedPrefix(const CatalogSnapshot& snap, PlanCache& target,
                       const HotPrefix& prefix);
 
+  /// Serializes publishers (and Warm's enqueue) so drain jobs reach the
+  /// worker in epoch order; never taken by session traffic.
+  std::mutex publish_mutex_;
+  std::uint64_t next_epoch_ = 1;  // guarded by publish_mutex_
+  /// The current and previous (snapshot, trie) pairs below are written only
+  /// by Publish, holding both locks, and read under either one. Publish
+  /// holds `snapshot_mutex_` only for the swap, never across a build.
   mutable std::mutex snapshot_mutex_;
   std::shared_ptr<const CatalogSnapshot> snapshot_;
   std::shared_ptr<PlanCache> plan_cache_;
@@ -550,7 +527,6 @@ class Engine {
   /// source until the next publish replaces it.
   std::shared_ptr<const CatalogSnapshot> previous_snapshot_;
   std::shared_ptr<PlanCache> previous_plan_cache_;
-  std::uint64_t next_epoch_ = 1;
   EngineOptions options_;
   SessionManager sessions_;
 
@@ -577,8 +553,7 @@ class Engine {
 
   friend class EpochDrainWorker;
   /// Declared LAST: destroyed first, so the worker's threads stop before
-  /// the session store and snapshot state they reference go away. Null
-  /// when DrainOptions::background is false.
+  /// the session store and snapshot state they reference go away.
   std::unique_ptr<EpochDrainWorker> drain_;
 };
 

@@ -156,12 +156,14 @@ CatalogConfig ConfigFor(const ServiceCase& c,
   return config;
 }
 
-/// Deterministic inline-drain engine options (no background threads: the
-/// crash tests fork(), and forked children must not inherit worker state).
-EngineOptions InlineEngineOptions() {
+/// Engine options without a session TTL, so recovery only drops sessions
+/// for idleness where a test sets one. The crash tests fork(): no Engine
+/// is alive across the fork (the parent builds its recovering Engine after
+/// waitpid), and the child's Engine publishes once, so its drain worker,
+/// which starts its threads with the first republish, starts none there.
+EngineOptions NoTtlEngineOptions() {
   EngineOptions opts;
   opts.sessions.ttl_millis = 0;
-  opts.drain.background = false;
   return opts;
 }
 
@@ -318,7 +320,7 @@ void RoundTripCase(const ServiceCase& c, bool checkpoint_midway) {
   std::map<SessionId, std::string> expected;  // id -> final Save blob
   SessionId closed_id = 0;
   {
-    Engine engine(InlineEngineOptions());
+    Engine engine(NoTtlEngineOptions());
     ASSERT_TRUE(engine.Publish(ConfigFor(c, specs)).ok());
     DurabilityOptions dopts;
     dopts.dir = dir.path();
@@ -352,7 +354,7 @@ void RoundTripCase(const ServiceCase& c, bool checkpoint_midway) {
     ASSERT_TRUE(engine.FlushDurable().ok());
   }
 
-  Engine engine(InlineEngineOptions());
+  Engine engine(NoTtlEngineOptions());
   ASSERT_TRUE(engine.Publish(ConfigFor(c, specs)).ok());
   DurabilityOptions dopts;
   dopts.dir = dir.path();
@@ -402,7 +404,7 @@ TEST(DurableRecovery, TornSegmentTailLosesOnlyTheTail) {
   TempDir dir("torn_tail");
   SessionId id = 0;
   {
-    Engine engine(InlineEngineOptions());
+    Engine engine(NoTtlEngineOptions());
     ASSERT_TRUE(engine.Publish(ConfigFor(c, {"greedy"})).ok());
     DurabilityOptions dopts;
     dopts.dir = dir.path();
@@ -420,7 +422,7 @@ TEST(DurableRecovery, TornSegmentTailLosesOnlyTheTail) {
   const std::string intact = ReadFile(segment);
   WriteFile(segment, intact.substr(0, intact.size() - 5));
 
-  Engine engine(InlineEngineOptions());
+  Engine engine(NoTtlEngineOptions());
   ASSERT_TRUE(engine.Publish(ConfigFor(c, {"greedy"})).ok());
   DurabilityOptions dopts;
   dopts.dir = dir.path();
@@ -443,7 +445,7 @@ TEST(DurableRecovery, EnableDurabilityRefusesExistingState) {
   const ServiceCase& c = ServiceCases().front();
   TempDir dir("refuse_existing");
   {
-    Engine engine(InlineEngineOptions());
+    Engine engine(NoTtlEngineOptions());
     ASSERT_TRUE(engine.Publish(ConfigFor(c, {"greedy"})).ok());
     DurabilityOptions dopts;
     dopts.dir = dir.path();
@@ -453,7 +455,7 @@ TEST(DurableRecovery, EnableDurabilityRefusesExistingState) {
     EXPECT_EQ(engine.EnableDurability(dopts).code(),
               StatusCode::kFailedPrecondition);
   }
-  Engine engine(InlineEngineOptions());
+  Engine engine(NoTtlEngineOptions());
   ASSERT_TRUE(engine.Publish(ConfigFor(c, {"greedy"})).ok());
   DurabilityOptions dopts;
   dopts.dir = dir.path();
@@ -467,14 +469,14 @@ TEST(DurableRecovery, EnableDurabilityRefusesExistingState) {
 
 TEST(DurableRecovery, RecoverRequiresAPublishedSnapshot) {
   TempDir dir("recover_no_snapshot");
-  Engine engine(InlineEngineOptions());
+  Engine engine(NoTtlEngineOptions());
   DurabilityOptions dopts;
   dopts.dir = dir.path();
   EXPECT_FALSE(engine.Recover(dopts).ok());
 }
 
 TEST(DurableRecovery, CheckpointAndFlushWithoutDurability) {
-  Engine engine(InlineEngineOptions());
+  Engine engine(NoTtlEngineOptions());
   EXPECT_EQ(engine.Checkpoint().code(), StatusCode::kFailedPrecondition);
   EXPECT_TRUE(engine.FlushDurable().ok());  // graceful shutdown is a no-op
   EXPECT_FALSE(engine.durable());
@@ -483,7 +485,7 @@ TEST(DurableRecovery, CheckpointAndFlushWithoutDurability) {
 TEST(DurableRecovery, AutoCheckpointTriggersOffTheHotPath) {
   const ServiceCase& c = ServiceCases().front();
   TempDir dir("auto_ckpt");
-  Engine engine(InlineEngineOptions());
+  Engine engine(NoTtlEngineOptions());
   ASSERT_TRUE(engine.Publish(ConfigFor(c, {"greedy"})).ok());
   DurabilityOptions dopts;
   dopts.dir = dir.path();
@@ -527,7 +529,7 @@ struct AckedOps {
     }
   };
 
-  Engine engine(InlineEngineOptions());
+  Engine engine(NoTtlEngineOptions());
   if (!engine.Publish(ConfigFor(c, {spec})).ok()) {
     ::_exit(42);
   }
@@ -661,7 +663,7 @@ void RunCrashCase(const ServiceCase& c, const std::string& spec,
     ASSERT_EQ(acked.opened.size(), 3u);
   }
 
-  Engine engine(InlineEngineOptions());
+  Engine engine(NoTtlEngineOptions());
   ASSERT_TRUE(engine.Publish(ConfigFor(c, {spec})).ok());
   DurabilityOptions dopts;
   dopts.dir = dir.path();
@@ -739,7 +741,7 @@ void TtlCase(bool through_checkpoint) {
   std::uint64_t mono = 500'000;    // fake monotonic session clock
   SessionId warm_id = 0, idle_id = 0;
   {
-    EngineOptions opts = InlineEngineOptions();
+    EngineOptions opts = NoTtlEngineOptions();
     opts.sessions.clock_millis = [&mono] { return mono; };
     Engine engine(opts);
     ASSERT_TRUE(engine.Publish(ConfigFor(c, {"greedy"})).ok());
@@ -764,7 +766,7 @@ void TtlCase(bool through_checkpoint) {
     }
   }
 
-  EngineOptions opts = InlineEngineOptions();
+  EngineOptions opts = NoTtlEngineOptions();
   opts.sessions.ttl_millis = 1000;
   Engine engine(opts);
   ASSERT_TRUE(engine.Publish(ConfigFor(c, {"greedy"})).ok());
@@ -804,7 +806,7 @@ TEST(RecoveryTtl, ZeroTtlNeverDrops) {
   std::uint64_t wall = 1'000'000;
   SessionId id = 0;
   {
-    Engine engine(InlineEngineOptions());
+    Engine engine(NoTtlEngineOptions());
     ASSERT_TRUE(engine.Publish(ConfigFor(c, {"greedy"})).ok());
     DurabilityOptions dopts;
     dopts.dir = dir.path();
@@ -814,7 +816,7 @@ TEST(RecoveryTtl, ZeroTtlNeverDrops) {
     ASSERT_TRUE(opened.ok());
     id = *opened;
   }
-  Engine engine(InlineEngineOptions());  // ttl_millis = 0
+  Engine engine(NoTtlEngineOptions());  // ttl_millis = 0
   ASSERT_TRUE(engine.Publish(ConfigFor(c, {"greedy"})).ok());
   DurabilityOptions dopts;
   dopts.dir = dir.path();
@@ -863,7 +865,7 @@ TEST(ConcurrentDurability, SaveAndCheckpointUnderAnswerTraffic) {
   ASSERT_TRUE(spec.starts_with("scripted:order="));
 
   TempDir dir("concurrent");
-  EngineOptions opts = InlineEngineOptions();
+  EngineOptions opts = NoTtlEngineOptions();
   Engine engine(opts);
   ASSERT_TRUE(engine.Publish(ConfigFor(c, {spec})).ok());
   DurabilityOptions dopts;
@@ -950,7 +952,7 @@ TEST(ConcurrentDurability, SaveAndCheckpointUnderAnswerTraffic) {
   // And the durable state — checkpoints raced answers throughout — must
   // recover every completed transcript bit-identically.
   ASSERT_TRUE(engine.FlushDurable().ok());
-  Engine recovered(InlineEngineOptions());
+  Engine recovered(NoTtlEngineOptions());
   ASSERT_TRUE(recovered.Publish(ConfigFor(c, {spec})).ok());
   DurabilityOptions ropts;
   ropts.dir = dir.path();

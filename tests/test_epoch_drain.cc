@@ -1,20 +1,26 @@
-// The background drain worker (PR 6): Publish is an O(1) epoch swap and the
-// warm-seed + idle-session sweep run on a concurrent-safe worker.
+// The drain worker: Publish is an O(1) epoch swap and the warm-seed +
+// idle-session sweep run on a concurrent-safe worker.
 //  (1) equivalence, the hard guarantee: for every registry policy on trees
-//      and DAGs, a session drained in the background produces a transcript
-//      bit-identical to the same session drained by the PR-5 inline sweep;
+//      and DAGs, a session drained onto a new epoch asks exactly the
+//      remaining questions a quiescent engine asks for the same target;
 //  (2) TTL interplay: a session the manager expired mid-drain is neither
-//      resurrected (no TTL refresh) nor counted as migrated — on the
-//      background path and the inline path, on an injectable clock;
+//      resurrected (no TTL refresh) nor counted as migrated, on an
+//      injectable clock;
 //  (3) roll-forward: a second Publish mid-drain supersedes the running job
 //      and the pipeline converges on the newest epoch, never a stale one;
+//      a `warm` issued mid-drain never cancels the publish's sweep;
 //  (4) a multithreaded stress run racing Open/Ask/Answer/Close and repeated
 //      publishes against the live drain — no lost or duplicated sessions,
-//      every transcript still bit-identical to the quiescent reference.
+//      every transcript still bit-identical to the quiescent reference;
+//  (5) Publish builds its snapshot without the lock Open, Stats and
+//      snapshot() take, so they keep serving the old epoch meanwhile.
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -146,120 +152,67 @@ CatalogConfig ConfigFor(const DrainCase& c) {
   return config;
 }
 
-// ---- (1) background/inline equivalence --------------------------------------
+// ---- (1) drained vs quiescent equivalence ----------------------------------
 
-TEST(EpochDrain, BackgroundDrainMatchesInlineSweepEveryPolicy) {
+TEST(EpochDrain, DrainedSessionMatchesQuiescentTranscriptEveryPolicy) {
   for (const DrainCase& c : Cases()) {
-    EngineOptions inline_options;
-    inline_options.drain.background = false;
-    Engine inline_engine(inline_options);
-
-    EngineOptions bg_options;  // background defaults on; shrink the batches
-    bg_options.drain.batch_size = 2;
-    bg_options.drain.tick_budget_ms = 1;
-    Engine bg_engine(bg_options);
-
-    ASSERT_TRUE(inline_engine.Publish(ConfigFor(c)).ok());
-    ASSERT_TRUE(bg_engine.Publish(ConfigFor(c)).ok());
-    bg_engine.WaitForDrain();
+    // The quiescent reference never republishes.
+    Engine quiet;
+    EngineOptions options;  // shrink the batches
+    options.drain.batch_size = 2;
+    options.drain.tick_budget_ms = 1;
+    Engine engine(options);
+    ASSERT_TRUE(quiet.Publish(ConfigFor(c)).ok());
+    ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
 
     for (const std::string& spec : SpecsFor(c.hierarchy)) {
       SCOPED_TRACE(c.name + "/" + spec);
       const NodeId target = static_cast<NodeId>(c.hierarchy.NumNodes() - 1);
-
-      // One half-driven idle session per engine...
-      ExactOracle o1(c.hierarchy.reach(), target);
-      ExactOracle o2(c.hierarchy.reach(), target);
-      auto inline_id = inline_engine.Open(spec);
-      auto bg_id = bg_engine.Open(spec);
-      ASSERT_TRUE(inline_id.ok());
-      ASSERT_TRUE(bg_id.ok());
-      std::vector<RecordedQuery> inline_qs, bg_qs;
-      DriveIdle(inline_engine, *inline_id, o1, 2, &inline_qs);
-      DriveIdle(bg_engine, *bg_id, o2, 2, &bg_qs);
-
-      // ...republish identical weights on both. The inline engine sweeps
-      // on the publishing thread; the background engine hands the sweep to
-      // the worker and returns immediately.
-      ASSERT_TRUE(inline_engine.Publish(ConfigFor(c)).ok());
-      ASSERT_TRUE(bg_engine.Publish(ConfigFor(c)).ok());
-      bg_engine.WaitForDrain();
-
-      // Both sessions must now sit on the new epoch (the sweep migrated
-      // them — neither was mid-question) with bit-identical remainders.
-      ExactOracle r1(c.hierarchy.reach(), target);
-      ExactOracle r2(c.hierarchy.reach(), target);
-      EXPECT_EQ(Drive(inline_engine, *inline_id, r1, SIZE_MAX, &inline_qs),
+      ExactOracle reference_oracle(c.hierarchy.reach(), target);
+      auto reference_id = quiet.Open(spec);
+      ASSERT_TRUE(reference_id.ok());
+      std::vector<RecordedQuery> reference_qs;
+      EXPECT_EQ(Drive(quiet, *reference_id, reference_oracle, SIZE_MAX,
+                      &reference_qs),
                 target);
-      EXPECT_EQ(Drive(bg_engine, *bg_id, r2, SIZE_MAX, &bg_qs), target);
-      EXPECT_EQ(inline_qs, bg_qs);
-      EXPECT_TRUE(inline_engine.Close(*inline_id).ok());
-      EXPECT_TRUE(bg_engine.Close(*bg_id).ok());
+      EXPECT_TRUE(quiet.Close(*reference_id).ok());
+
+      // A half-driven idle session, then a republish of identical weights:
+      // the drain worker migrates it (it is not mid-question).
+      ExactOracle oracle(c.hierarchy.reach(), target);
+      auto id = engine.Open(spec);
+      ASSERT_TRUE(id.ok());
+      std::vector<RecordedQuery> qs;
+      DriveIdle(engine, *id, oracle, 2, &qs);
+      ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
+      engine.WaitForDrain();
+      const EngineStats stats = engine.Stats();
+      ASSERT_EQ(stats.sessions_by_epoch.size(), 1u);
+      EXPECT_EQ(stats.sessions_by_epoch.begin()->first, engine.epoch());
+
+      ExactOracle rest(c.hierarchy.reach(), target);
+      EXPECT_EQ(Drive(engine, *id, rest, SIZE_MAX, &qs), target);
+      EXPECT_EQ(qs, reference_qs);
+      EXPECT_TRUE(engine.Close(*id).ok());
     }
 
     // The worker actually did the migrating (one session per spec per
     // republish), and the pipeline settled idle on the newest epoch.
-    const DrainStats d = bg_engine.DrainProgress();
-    EXPECT_TRUE(d.background);
+    const DrainStats d = engine.DrainProgress();
     EXPECT_EQ(d.phase, DrainPhase::kIdle);
-    EXPECT_GT(d.migrated, 0u);
+    EXPECT_EQ(d.migrated, SpecsFor(c.hierarchy).size());
     EXPECT_EQ(d.failed, 0u);
-    EXPECT_EQ(d.target_epoch, bg_engine.epoch());
+    EXPECT_EQ(d.target_epoch, engine.epoch());
     EXPECT_GT(d.batches, 0u);
   }
 }
 
 // ---- (2) TTL eviction vs the sweep ------------------------------------------
 
-TEST(EpochDrain, InlineSweepNeitherResurrectsNorCountsExpiredSessions) {
-  const DrainCase c = std::move(Cases().front());
-  auto now = std::make_shared<std::atomic<std::uint64_t>>(1'000);
-  EngineOptions options;
-  options.drain.background = false;
-  options.migration.sweep_on_publish = false;  // sweep explicitly below
-  options.sessions.ttl_millis = 500;
-  options.sessions.clock_millis = [now] { return now->load(); };
-  Engine engine(options);
-  ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
-
-  const NodeId target = static_cast<NodeId>(c.hierarchy.NumNodes() - 1);
-  ExactOracle o1(c.hierarchy.reach(), target);
-  ExactOracle o2(c.hierarchy.reach(), target);
-  auto stale = engine.Open("greedy");
-  ASSERT_TRUE(stale.ok());
-  DriveIdle(engine, *stale, o1, 1);
-
-  // Age the first session past its TTL, keep the second fresh.
-  now->fetch_add(400);
-  auto fresh = engine.Open("greedy");
-  ASSERT_TRUE(fresh.ok());
-  DriveIdle(engine, *fresh, o2, 1);
-  now->fetch_add(200);  // stale idle 600ms > 500; fresh idle 200ms
-
-  ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
-  const MigrateSweepStats sweep = engine.MigrateIdleSessions();
-  EXPECT_EQ(sweep.scanned, 2u);
-  EXPECT_EQ(sweep.expired, 1u);
-  EXPECT_EQ(sweep.migrated, 1u);
-  EXPECT_EQ(sweep.failed, 0u);
-
-  // The expired session must stay dead — the sweep's liveness probe must
-  // not have refreshed its TTL.
-  EXPECT_EQ(engine.Ask(*stale).status().code(), StatusCode::kNotFound);
-  ExactOracle rest(c.hierarchy.reach(), target);
-  EXPECT_EQ(Drive(engine, *fresh, rest, SIZE_MAX), target);
-  EXPECT_TRUE(engine.Close(*fresh).ok());
-
-  // Nothing left: a second sweep finds no old-epoch work and, above all,
-  // never double-counts the evicted session as migrated.
-  const MigrateSweepStats again = engine.MigrateIdleSessions();
-  EXPECT_EQ(again.migrated, 0u);
-}
-
 TEST(EpochDrain, BackgroundSweepDropsExpiredSessionsOnInjectedClock) {
   const DrainCase c = std::move(Cases().front());
   auto now = std::make_shared<std::atomic<std::uint64_t>>(1'000);
-  EngineOptions options;  // background drain on
+  EngineOptions options;
   options.sessions.ttl_millis = 500;
   options.sessions.clock_millis = [now] { return now->load(); };
   Engine engine(options);
@@ -276,15 +229,35 @@ TEST(EpochDrain, BackgroundSweepDropsExpiredSessionsOnInjectedClock) {
     ids.push_back(*id);
   }
   now->fetch_add(1'000);  // all three expire before the drain can run
+  // A fresh idle session beside them must still migrate.
+  ExactOracle fresh_oracle(c.hierarchy.reach(), target);
+  auto fresh = engine.Open("greedy");
+  ASSERT_TRUE(fresh.ok());
+  DriveIdle(engine, *fresh, fresh_oracle, 1);
 
   ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
   engine.WaitForDrain();
   const DrainStats d = engine.DrainProgress();
   EXPECT_EQ(d.expired, 3u);
-  EXPECT_EQ(d.migrated, 0u);
+  EXPECT_EQ(d.migrated, 1u);
+  EXPECT_EQ(d.failed, 0u);
   for (const SessionId id : ids) {
     EXPECT_EQ(engine.Ask(id).status().code(), StatusCode::kNotFound);
   }
+  const EngineStats stats = engine.Stats();
+  ASSERT_EQ(stats.sessions_by_epoch.size(), 1u);
+  EXPECT_EQ(stats.sessions_by_epoch.begin()->first, engine.epoch());
+  ExactOracle rest(c.hierarchy.reach(), target);
+  EXPECT_EQ(Drive(engine, *fresh, rest, SIZE_MAX), target);
+  EXPECT_TRUE(engine.Close(*fresh).ok());
+
+  // A second publish finds no old-epoch work and, above all, never counts
+  // an evicted session as migrated.
+  ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
+  engine.WaitForDrain();
+  const DrainStats again = engine.DrainProgress();
+  EXPECT_EQ(again.migrated, 1u);
+  EXPECT_EQ(again.expired, 3u);
   EXPECT_EQ(engine.Stats().live_sessions, 0u);
 }
 
@@ -335,6 +308,39 @@ TEST(EpochDrain, RePublishMidDrainConvergesOnTheNewestEpoch) {
   }
 }
 
+TEST(EpochDrain, WarmRightAfterPublishStillMigratesEveryIdleSession) {
+  const DrainCase c = std::move(Cases().front());
+  EngineOptions options;
+  options.drain.batch_size = 4;  // a long sweep for the warm job to cut
+  options.drain.tick_budget_ms = 1;
+  Engine engine(options);
+  ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
+
+  const NodeId target = static_cast<NodeId>(c.hierarchy.NumNodes() - 1);
+  std::vector<SessionId> ids;
+  for (int i = 0; i < 200; ++i) {
+    ExactOracle oracle(c.hierarchy.reach(), target);
+    auto id = engine.Open("greedy");
+    ASSERT_TRUE(id.ok());
+    DriveIdle(engine, *id, oracle, 1);
+    ids.push_back(*id);
+  }
+
+  // The warm job replaces the publish's job (pending or mid-sweep); the
+  // sweep it owed must carry over.
+  ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
+  const auto warmed = engine.Warm();
+  ASSERT_TRUE(warmed.ok()) << warmed.status().ToString();
+  engine.WaitForDrain();
+
+  const EngineStats stats = engine.Stats();
+  ASSERT_EQ(stats.sessions_by_epoch.size(), 1u);
+  EXPECT_EQ(stats.sessions_by_epoch.begin()->first, 2u);
+  EXPECT_EQ(stats.sessions_by_epoch.begin()->second, ids.size());
+  EXPECT_EQ(stats.drain.migrated, ids.size());
+  EXPECT_EQ(stats.drain.failed, 0u);
+}
+
 // ---- (4) concurrent stress: live traffic vs live drain ----------------------
 
 TEST(EpochDrain, StressTrafficRacesDrainAndRePublishLosslessly) {
@@ -352,9 +358,7 @@ TEST(EpochDrain, StressTrafficRacesDrainAndRePublishLosslessly) {
     std::map<std::pair<std::string, NodeId>, std::vector<RecordedQuery>>
         expected;
     {
-      EngineOptions ref_options;
-      ref_options.drain.background = false;
-      Engine ref(ref_options);
+      Engine ref;
       ASSERT_TRUE(ref.Publish(ConfigFor(c)).ok());
       for (const std::string& spec : kSpecs) {
         for (NodeId target = 0; target < c.hierarchy.NumNodes();
@@ -370,7 +374,7 @@ TEST(EpochDrain, StressTrafficRacesDrainAndRePublishLosslessly) {
       }
     }
 
-    EngineOptions options;  // background drain on, aggressive batching
+    EngineOptions options;  // aggressive batching
     options.drain.batch_size = 4;
     options.drain.tick_budget_ms = 1;
     options.drain.max_concurrency = 2;
@@ -434,6 +438,89 @@ TEST(EpochDrain, StressTrafficRacesDrainAndRePublishLosslessly) {
     EXPECT_EQ(engine.epoch(), kPublishes + 1);
     EXPECT_EQ(stats.drain.failed, 0u);
   }
+}
+
+// ---- (5) Publish builds outside the snapshot lock --------------------------
+
+/// While armed, the "blocking_build" test policy's factory parks until
+/// released — for at most 10 s, so an engine that builds under the lock
+/// Open waits on fails the test instead of hanging.
+struct BuildGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = false, entered = false, released = false, timed_out = false;
+};
+BuildGate gate;
+
+TEST(EpochDrain, PublishBuildDoesNotBlockOpenStatsOrSnapshot) {
+  static const bool registered =
+      PolicyRegistry::Global()
+          .Register("blocking_build", "test policy: greedy behind a gate",
+                    [](const PolicyContext& context, PolicyOptions&)
+                        -> StatusOr<std::unique_ptr<Policy>> {
+                      std::unique_lock<std::mutex> lock(gate.mu);
+                      if (gate.armed) {
+                        gate.entered = true;
+                        gate.cv.notify_all();
+                        gate.timed_out = !gate.cv.wait_for(
+                            lock, std::chrono::seconds(10),
+                            [] { return gate.released; });
+                      }
+                      lock.unlock();
+                      return PolicyRegistry::Global().Create("greedy",
+                                                             context);
+                    })
+          .ok();
+  ASSERT_TRUE(registered);
+  const DrainCase c = std::move(Cases().front());
+  CatalogConfig config = ConfigFor(c);
+  config.policy_specs = {"greedy", "blocking_build"};
+  Engine engine;
+  ASSERT_TRUE(engine.Publish(config).ok());  // gate unarmed: builds at once
+
+  std::unique_lock<std::mutex> lock(gate.mu);
+  gate.armed = true;
+  gate.entered = gate.released = gate.timed_out = false;
+  std::atomic<bool> published{false};
+  std::thread publisher([&] { published = engine.Publish(config).ok(); });
+  const bool entered = gate.cv.wait_for(lock, std::chrono::seconds(10),
+                                        [] { return gate.entered; });
+  lock.unlock();
+  // The epoch-2 build is parked inside the factory: none of these may wait
+  // for it, and all of them still see epoch 1.
+  const auto id = engine.Open("greedy");
+  const EngineStats stats = engine.Stats();
+  const std::shared_ptr<const CatalogSnapshot> snap = engine.snapshot();
+  lock.lock();
+  gate.released = true;
+  gate.cv.notify_all();
+  lock.unlock();
+  publisher.join();
+  lock.lock();
+  gate.armed = false;
+  EXPECT_TRUE(entered);
+  EXPECT_FALSE(gate.timed_out)
+      << "Open/Stats/snapshot() waited for the snapshot build";
+  lock.unlock();
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(stats.epoch, 1u);
+  EXPECT_EQ(snap->epoch(), 1u);
+  EXPECT_TRUE(published.load());
+  EXPECT_EQ(engine.epoch(), 2u);
+
+  // The session opened mid-build is idle on epoch 1: the drain moves it.
+  engine.WaitForDrain();
+  const EngineStats after = engine.Stats();
+  ASSERT_EQ(after.sessions_by_epoch.size(), 1u);
+  EXPECT_EQ(after.sessions_by_epoch.begin()->first, 2u);
+
+  // A failed build consumes no epoch.
+  config.policy_specs = {"no_such_policy"};
+  EXPECT_FALSE(engine.Publish(config).ok());
+  config.policy_specs = {"greedy"};
+  const auto next = engine.Publish(config);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ((*next)->epoch(), 3u);
 }
 
 }  // namespace

@@ -747,18 +747,11 @@ int CmdServe(const std::string& hierarchy_path,
                       static_cast<unsigned long long>(r.torn_tails));
         }
       }
-      if (s.drain.background) {
-        std::printf("drain: %s, %zu session(s) remaining, last batch %zu\n",
-                    DrainPhaseName(s.drain.phase),
-                    s.drain.sessions_remaining, s.drain.last_batch);
-      }
+      std::printf("drain: %s, %zu session(s) remaining, last batch %zu\n",
+                  DrainPhaseName(s.drain.phase), s.drain.sessions_remaining,
+                  s.drain.last_batch);
     } else if (command == "drain") {
       const DrainStats d = engine.DrainProgress();
-      if (!d.background) {
-        std::printf("background draining is off — publishes warm-seed and "
-                    "sweep inline\n");
-        continue;
-      }
       std::printf("phase %s, target epoch %llu\n", DrainPhaseName(d.phase),
                   static_cast<unsigned long long>(d.target_epoch));
       std::printf("  warm-seed: %zu / %zu hot prefix(es) replayed\n",
