@@ -1,5 +1,7 @@
 #include "bench/suites.h"
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <atomic>
 #include <optional>
@@ -13,6 +15,7 @@
 #include <unordered_map>
 
 #include "core/policy_registry.h"
+#include "core/split_weight_index.h"
 #include "data/builtin.h"
 #include "eval/decision_tree.h"
 #include "eval/online.h"
@@ -2422,6 +2425,57 @@ Status BigcatalogCompare(SuiteContext& ctx) {
   return Status::OK();
 }
 
+/// Heap bytes per greedy session after 1 and after 10 truthful answers, over
+/// `sessions` sessions on targets drawn from `dist`. The thread's planner
+/// scratch — memoized candidate views included — belongs to the thread, so
+/// it is warmed first; mallinfo2 counts every arena.
+struct SessionHeap {
+  double one_answer = 0;
+  double ten_answers = 0;
+};
+
+StatusOr<SessionHeap> MeasureSessionHeap(const Hierarchy& h,
+                                         const Distribution& dist,
+                                         std::size_t sessions,
+                                         std::uint64_t seed) {
+  const PolicyContext context{&h, &dist, nullptr};
+  AIGS_ASSIGN_OR_RETURN(const std::unique_ptr<Policy> policy,
+                        PolicyRegistry::Global().Create("greedy", context));
+  const AliasTable sampler(dist);
+  Rng rng(seed);
+  const auto answer = [&](SearchSession& session, NodeId target) {
+    const Query q = session.Next();
+    if (q.kind == Query::Kind::kReach) {
+      session.OnReach(q.node, h.reach().Reaches(q.node, target));
+    }
+  };
+  for (std::size_t i = 0; i < PlannerScratch::kMaxViews; ++i) {
+    answer(*policy->NewSession(), sampler.Sample(rng));
+  }
+  const auto heap = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return static_cast<double>(info.uordblks + info.hblkhd);
+  };
+  std::vector<std::unique_ptr<SearchSession>> open;
+  std::vector<NodeId> targets;
+  open.reserve(sessions);
+  const double before = heap();
+  for (std::size_t i = 0; i < sessions; ++i) {
+    targets.push_back(sampler.Sample(rng));
+    open.push_back(policy->NewSession());
+    answer(*open.back(), targets.back());
+  }
+  SessionHeap r;
+  r.one_answer = (heap() - before) / static_cast<double>(sessions);
+  for (std::size_t i = 0; i < sessions; ++i) {
+    for (int a = 1; a < 10; ++a) {
+      answer(*open[i], targets[i]);
+    }
+  }
+  r.ten_answers = (heap() - before) / static_cast<double>(sessions);
+  return r;
+}
+
 /// (b) The headline ROADMAP gate: a million-node DAG catalog (100k in
 /// smoke, so CI runners pass) must build, publish, and serve greedy
 /// sessions with the closure index holding at most 10% of the dense
@@ -2482,6 +2536,32 @@ Status BigcatalogMillion(SuiteContext& ctx) {
   PushWallRow(ctx, "bigcatalog/million/ask_p50_ms", "bigdag", n, lat.p50_ms);
   PushWallRow(ctx, "bigcatalog/million/peak_rss_mb", "bigdag", n,
               PeakRssMib());
+
+  // Per-session heap is deterministic enough to gate on every unsanitized
+  // build (sanitizer allocators do not report through mallinfo2): a DAG
+  // session keeps O(answers) words, never O(n).
+  AIGS_ASSIGN_OR_RETURN(const SessionHeap session_heap,
+                        MeasureSessionHeap(h, dist, 64, 889));
+  std::printf("  greedy session heap: %s B after 1 answer, %s B after 10\n",
+              FormatDouble(session_heap.one_answer, 0).c_str(),
+              FormatDouble(session_heap.ten_answers, 0).c_str());
+  PushWallRow(ctx, "bigcatalog/million/session_bytes/1_answer", "bigdag", n,
+              session_heap.one_answer);
+  PushWallRow(ctx, "bigcatalog/million/session_bytes/10_answers", "bigdag", n,
+              session_heap.ten_answers);
+  if (!SanitizedBuild()) {
+    constexpr double kSessionBytes = 1024;
+    if (session_heap.one_answer > kSessionBytes ||
+        session_heap.ten_answers > kSessionBytes) {
+      return Status::Internal(
+          "bigcatalog session memory gate violated: a greedy session holds " +
+          FormatDouble(std::max(session_heap.one_answer,
+                                session_heap.ten_answers),
+                       0) +
+          " B (> 1 KB) at " + FormatWithCommas(n) + " nodes");
+    }
+    std::printf("greedy session <= 1 KB after 1 and after 10 answers: OK\n");
+  }
 
   // The memory gate is deterministic (no timing involved), so it arms on
   // every build — including the CI smoke at 100k nodes.

@@ -210,14 +210,15 @@ class WigsDagSession final : public SearchSession {
   explicit WigsDagSession(const SplitWeightBase& base) : index_(base) {}
 
   Query PlanQuestion() const override {
-    if (index_.AliveCount() == 1) {
-      return Query::Done(index_.Target());
+    const CandidateView view = index_.View();
+    if (view.AliveCount() == 1) {
+      return Query::Done(view.Target());
     }
     if (phase_ == Phase::kBinarySearch && lo_ < hi_) {
       return Query::ReachQuery(chain_[Mid()]);
     }
     phase_ = Phase::kChildScan;
-    const NodeId probe = MaxCountAliveChild(index_.root());
+    const NodeId probe = MaxCountAliveChild(view, view.root());
     // AliveCount() > 1 plus the downward-closure invariant guarantee the
     // root still has an alive child.
     AIGS_CHECK(probe != kInvalidNode);
@@ -277,14 +278,14 @@ class WigsDagSession final : public SearchSession {
     return static_cast<std::size_t>((lo_ + hi_ + 1) / 2);
   }
 
-  NodeId MaxCountAliveChild(NodeId v) const {
+  NodeId MaxCountAliveChild(const CandidateView& view, NodeId v) const {
     NodeId best = kInvalidNode;
     std::size_t best_count = 0;
     for (const NodeId c : index_.hierarchy().graph().Children(v)) {
-      if (!index_.IsAlive(c)) {
+      if (!view.IsAlive(c)) {
         continue;
       }
-      const std::size_t count = index_.ReachCount(c);
+      const std::size_t count = view.ReachCount(c);
       if (best == kInvalidNode || count > best_count) {
         best = c;
         best_count = count;
@@ -297,8 +298,9 @@ class WigsDagSession final : public SearchSession {
   // below it (root excluded; chain[0] is its heaviest alive child).
   void StartBinarySearch() {
     chain_.clear();
-    for (NodeId v = MaxCountAliveChild(index_.root()); v != kInvalidNode;
-         v = MaxCountAliveChild(v)) {
+    const CandidateView view = index_.View();
+    for (NodeId v = MaxCountAliveChild(view, view.root());
+         v != kInvalidNode; v = MaxCountAliveChild(view, v)) {
       chain_.push_back(v);
     }
     if (chain_.empty()) {

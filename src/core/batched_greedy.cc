@@ -149,19 +149,19 @@ class BatchedGreedyBfsSession final : public SearchSession {
   mutable BfsScratch scratch_;
 };
 
-// Fast backend: SplitWeightIndex state + a ResetFrom simulation scratch.
-// Construction is O(1) — both overlays share the policy's base.
+// Fast backend: SplitWeightIndex state; the round simulation runs in the
+// planning thread's scratch. Construction is O(1) — the session is an
+// overlay over the policy's base.
 class BatchedGreedyIndexSession final : public SearchSession {
  public:
   BatchedGreedyIndexSession(const SplitWeightBase& base,
                             std::size_t questions_per_round)
-      : questions_per_round_(questions_per_round),
-        state_(base),
-        simulated_(base) {}
+      : questions_per_round_(questions_per_round), state_(base) {}
 
   Query PlanQuestion() const override {
-    if (state_.AliveCount() == 1) {
-      return Query::Done(state_.Target());
+    const CandidateView view = state_.View();
+    if (view.AliveCount() == 1) {
+      return Query::Done(view.Target());
     }
     return Query::ReachBatch(SelectBatch());
   }
@@ -174,50 +174,40 @@ class BatchedGreedyIndexSession final : public SearchSession {
 
   Status TryApplyReachBatch(std::span<const NodeId> nodes,
                             const std::vector<bool>& answers) override {
-    AIGS_CHECK(answers.size() == nodes.size());
-    // Fold the round into the simulation scratch first — one bitset
-    // intersection / Euler-range operation per question — so mutually
-    // inconsistent answers can be rejected without touching the session.
-    simulated_.ResetFrom(state_);
-    simulated_.ApplyBatch(nodes, answers);
-    if (simulated_.AliveCount() == 0) {
-      return Status::InvalidArgument(
-          "batch answers are mutually inconsistent — they eliminate every "
-          "candidate");
-    }
-    state_.ResetFrom(simulated_);
-    return Status::OK();
+    // Folds the round into the candidate view first, so mutually
+    // inconsistent answers are rejected without touching the session.
+    return state_.TryApplyBatch(nodes, answers);
   }
 
   Status ApplyObservedStep(const TranscriptStep& step) override {
-    // ApplyBatch tolerates arbitrary (node, answer) rounds — dead nodes,
+    // TryApplyBatch tolerates arbitrary (node, answer) rounds — dead nodes,
     // down-only root moves — so the observed fold is the validating batch
     // path itself.
     if (step.kind != Query::Kind::kReachBatch) {
       return SearchSession::ApplyObservedStep(step);
     }
     for (const NodeId q : step.nodes) {
-      if (q >= state_.base().hierarchy().NumNodes()) {
+      if (q >= state_.hierarchy().NumNodes()) {
         return Status::OutOfRange("observed question node " +
                                   std::to_string(q) +
                                   " outside the hierarchy");
       }
     }
-    return TryApplyReachBatch(step.nodes, step.batch_answers);
+    return state_.TryApplyBatch(step.nodes, step.batch_answers);
   }
 
  private:
   std::vector<NodeId> SelectBatch() const {
     std::vector<NodeId> batch;
-    simulated_.ResetFrom(state_);
+    RoundSimulation round = state_.SimulateRound();
     while (batch.size() < questions_per_round_ &&
-           simulated_.AliveCount() > 1) {
-      const MiddlePoint mp = simulated_.FindSplittingMiddlePoint();
+           round.view().AliveCount() > 1) {
+      const MiddlePoint mp = round.view().FindSplittingMiddlePoint();
       if (mp.node == kInvalidNode) {
         break;
       }
       batch.push_back(mp.node);
-      simulated_.ApplyNo(mp.node);
+      round.AssumeNo(mp.node);
     }
     AIGS_CHECK(!batch.empty());
     return batch;
@@ -225,9 +215,6 @@ class BatchedGreedyIndexSession final : public SearchSession {
 
   std::size_t questions_per_round_;
   SplitWeightIndex state_;
-  // Round-simulation scratch — memoized derived state, reset from `state_`
-  // before every use (both planning and batch validation).
-  mutable SplitWeightIndex simulated_;
 };
 
 }  // namespace

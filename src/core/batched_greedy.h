@@ -12,10 +12,11 @@
 // strict progress.
 //
 // Selection backends (both ask identical question batches):
-//  * kSplitIndex (default): the round simulation runs on a SplitWeightIndex
-//    scratch — O(alive · log n) per pick on trees, O(alive · n/64) on DAGs —
-//    and each arriving answer is folded in as one bitset intersection /
-//    Euler-range operation instead of a per-candidate reachability loop.
+//  * kSplitIndex (default): the session is a SplitWeightIndex and the round
+//    simulation a RoundSimulation in the planning thread's scratch —
+//    O(alive · log n) per pick on trees, O(alive · row) on DAGs — and each
+//    arriving answer is folded in as one row intersection / Euler-range
+//    operation instead of a per-candidate reachability loop.
 //  * kBfsRescan: the original per-pick BFS scan over a copied candidate set
 //    (O(k·n·m) per round), kept as the equivalence reference.
 #ifndef AIGS_CORE_BATCHED_GREEDY_H_

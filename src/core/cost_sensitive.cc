@@ -11,10 +11,11 @@ class CostSensitiveSession final : public SearchSession {
       : state_(base), costs_(&costs) {}
 
   Query PlanQuestion() const override {
-    if (state_.AliveCount() == 1) {
-      return Query::Done(state_.Target());
+    const CandidateView view = state_.View();
+    if (view.AliveCount() == 1) {
+      return Query::Done(view.Target());
     }
-    return Query::ReachQuery(SelectQueryNode());
+    return Query::ReachQuery(SelectQueryNode(view));
   }
 
   void ApplyReach(NodeId q, bool yes) override {
@@ -39,17 +40,17 @@ class CostSensitiveSession final : public SearchSession {
   // trees, O(n/64) on DAGs) instead of a session overlay. Enumeration order
   // is mode-dependent, so ties break explicitly toward the smaller node id —
   // the same winner the ascending-id scan picked.
-  NodeId SelectQueryNode() const {
-    const NodeId r = state_.root();
-    const Weight total = state_.TotalAlive();
+  NodeId SelectQueryNode(const CandidateView& view) const {
+    const NodeId r = view.root();
+    const Weight total = view.TotalAlive();
     NodeId best = kInvalidNode;
     U128 best_product = 0;        // p(G_v∩C)·p(C\G_v)
     std::uint32_t best_cost = 1;  // c(best)
-    state_.ForEachAlive([&](NodeId v) {
+    view.ForEachAlive([&](NodeId v) {
       if (v == r) {
         return;
       }
-      const Weight inside = state_.ReachWeight(v);
+      const Weight inside = view.ReachWeight(v);
       const U128 product =
           static_cast<U128>(inside) * static_cast<U128>(total - inside);
       const std::uint32_t cost = costs_->CostOf(v);

@@ -9,10 +9,11 @@ class GreedyDagSession final : public SearchSession {
       : index_(base), disable_pruning_(disable_pruning) {}
 
   Query PlanQuestion() const override {
-    if (index_.AliveCount() == 1) {
-      return Query::Done(index_.Target());
+    const CandidateView view = index_.View();
+    if (view.AliveCount() == 1) {
+      return Query::Done(view.Target());
     }
-    return Query::ReachQuery(SelectQueryNode());
+    return Query::ReachQuery(SelectQueryNode(view));
   }
 
   void ApplyReach(NodeId q, bool yes) override {
@@ -37,19 +38,19 @@ class GreedyDagSession final : public SearchSession {
   // half the remaining weight. With pruning on, a child whose pristine
   // bound already proves it dominated and no better than the best (a tie
   // never replaces the first minimum) is skipped without its exact weight.
-  NodeId SelectQueryNode() const {
-    const Weight total = index_.TotalAlive();
+  NodeId SelectQueryNode(const CandidateView& view) const {
+    const Weight total = view.TotalAlive();
     NodeId best = kInvalidNode;
     Weight best_diff = 0;
-    index_.DescendAlive([&](NodeId v) {
+    view.DescendAlive([&](NodeId v) {
       if (!disable_pruning_ && best != kInvalidNode &&
-          index_.PristineBoundRulesOut(v, best_diff, /*strict=*/false)) {
+          view.PristineBoundRulesOut(v, best_diff, /*strict=*/false)) {
         return false;
       }
       // Compare w against total - w instead of forming 2*w, which can
       // overflow Weight for totals above 2^63 (kRealScale-scaled
       // distributions on large catalogs get close).
-      const Weight w = index_.ReachWeight(v);
+      const Weight w = view.ReachWeight(v);
       const Weight rest = total - w;  // w <= total: reach of alive subset
       const Weight diff = w > rest ? w - rest : rest - w;
       if (best == kInvalidNode || diff < best_diff) {

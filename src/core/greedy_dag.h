@@ -7,12 +7,15 @@
 // prunes below it while still considering v itself — exactly the paper's
 // lines 4–11, with the first strict minimum in BFS order winning. The
 // session state is a SplitWeightIndex overlay over the policy's shared
-// SplitWeightBase: w̃ restricted to the candidates is a closure-row
-// intersection with the alive set, which is the corrected Algorithm 7
-// update without any per-session reverse BFS. Because that intersection is
-// a row kernel, the BFS first bounds w̃(R(v) ∩ C) by the pristine
-// w̃(R(v)) (SplitWeightIndex::PristineBoundRulesOut) and skips children
-// the bound already shows to be dominated and no better than the best.
+// SplitWeightBase — the root, the answers that still shape the candidate
+// set, nothing of size n — and each plan reads the candidates through a
+// CandidateView in the planning thread's scratch: w̃ restricted to the
+// candidates is a closure-row intersection with that view, which is the
+// corrected Algorithm 7 update without any per-session reverse BFS.
+// Because that intersection is a row kernel, the BFS first bounds
+// w̃(R(v) ∩ C) by the pristine w̃(R(v))
+// (CandidateView::PristineBoundRulesOut) and skips children the bound
+// already shows to be dominated and no better than the best.
 #ifndef AIGS_CORE_GREEDY_DAG_H_
 #define AIGS_CORE_GREEDY_DAG_H_
 

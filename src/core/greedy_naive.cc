@@ -128,10 +128,11 @@ class GreedyNaiveIndexSession final : public SearchSession {
       : index_(base) {}
 
   Query PlanQuestion() const override {
-    if (index_.AliveCount() == 1) {
-      return Query::Done(index_.Target());
+    const CandidateView view = index_.View();
+    if (view.AliveCount() == 1) {
+      return Query::Done(view.Target());
     }
-    return Query::ReachQuery(index_.FindMiddlePoint().node);
+    return Query::ReachQuery(view.FindMiddlePoint().node);
   }
 
   void ApplyReach(NodeId q, bool yes) override {

@@ -8,13 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <memory>
+#include <mutex>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/batched_greedy.h"
 #include "core/cost_sensitive.h"
 #include "core/greedy_naive.h"
 #include "core/middle_point.h"
+#include "core/policy_registry.h"
 #include "data/builtin.h"
 #include "data/synthetic_catalog.h"
 #include "graph/candidate_set.h"
@@ -87,7 +93,8 @@ TEST(FenwickTree, BuildAndPointUpdatesMatchBruteForce) {
 
 // Mirrors an index through random yes/no answers (possibly referencing dead
 // nodes, as batched rounds do) and checks every incremental quantity against
-// recomputation over the mirrored alive set.
+// recomputation over the mirrored alive set, on both the extended and the
+// rebuilt closure-mode view.
 void CheckStateAgainstBruteForce(const Hierarchy& h,
                                  const std::vector<Weight>& weights,
                                  Rng& steps) {
@@ -114,30 +121,39 @@ void CheckStateAgainstBruteForce(const Hierarchy& h,
         it = h.reach().Reaches(q, *it) ? alive.erase(it) : std::next(it);
       }
     }
-    Weight expected_total = 0;
-    for (const NodeId x : alive) {
-      expected_total += weights[x];
-    }
-    ASSERT_EQ(index.AliveCount(), alive.size());
-    ASSERT_EQ(index.TotalAlive(), expected_total);
-    std::size_t enumerated = 0;
-    index.ForEachAlive([&](NodeId v) {
-      ++enumerated;
-      ASSERT_TRUE(alive.count(v) > 0) << "node " << v;
-    });
-    ASSERT_EQ(enumerated, alive.size());
-    for (NodeId v = 0; v < h.NumNodes(); ++v) {
-      ASSERT_EQ(index.IsAlive(v), alive.count(v) > 0) << "node " << v;
-      Weight expected_w = 0;
-      std::size_t expected_c = 0;
+    // On this thread the memoized view extends by the answer's row; a fresh
+    // thread has no memo and rebuilds the view from the stored answers.
+    const auto verify = [&] {
+      Weight expected_total = 0;
       for (const NodeId x : alive) {
-        if (h.reach().Reaches(v, x)) {
-          expected_w += weights[x];
-          ++expected_c;
-        }
+        expected_total += weights[x];
       }
-      ASSERT_EQ(index.ReachWeight(v), expected_w) << "node " << v;
-      ASSERT_EQ(index.ReachCount(v), expected_c) << "node " << v;
+      ASSERT_EQ(index.AliveCount(), alive.size());
+      ASSERT_EQ(index.TotalAlive(), expected_total);
+      std::size_t enumerated = 0;
+      index.ForEachAlive([&](NodeId v) {
+        ++enumerated;
+        ASSERT_TRUE(alive.count(v) > 0) << "node " << v;
+      });
+      ASSERT_EQ(enumerated, alive.size());
+      for (NodeId v = 0; v < h.NumNodes(); ++v) {
+        ASSERT_EQ(index.IsAlive(v), alive.count(v) > 0) << "node " << v;
+        Weight expected_w = 0;
+        std::size_t expected_c = 0;
+        for (const NodeId x : alive) {
+          if (h.reach().Reaches(v, x)) {
+            expected_w += weights[x];
+            ++expected_c;
+          }
+        }
+        ASSERT_EQ(index.ReachWeight(v), expected_w) << "node " << v;
+        ASSERT_EQ(index.ReachCount(v), expected_c) << "node " << v;
+      }
+    };
+    verify();
+    std::thread(verify).join();
+    if (::testing::Test::HasFatalFailure()) {
+      return;
     }
     if (alive.empty()) {
       break;
@@ -228,6 +244,223 @@ TEST(CandidateSet, ResetFromReusesStorage) {
   ASSERT_EQ(b.alive_count(), a.alive_count());
   for (NodeId v = 0; v < h.NumNodes(); ++v) {
     ASSERT_EQ(b.IsAlive(v), a.IsAlive(v));
+  }
+}
+
+// ---- observed reachability folds (closure mode) -----------------------------
+
+Hierarchy BuildClosure(Digraph g, bool compressed) {
+  ReachabilityOptions options;
+  options.closure = compressed ? ReachabilityOptions::Closure::kCompressed
+                               : ReachabilityOptions::Closure::kDense;
+  options.force_closure_on_trees = true;
+  auto h = Hierarchy::Build(std::move(g), options);
+  AIGS_CHECK(h.ok());
+  AIGS_CHECK(!h->reach().euler_mode());
+  return *std::move(h);
+}
+
+// 0 → {1, 2}; 1 → {3, 5}; 2 → {3, 6}; 3 → 4. Node 3 has two parents, so
+// R(1) ∩ R(2) = {3, 4} and neither of 1, 2 reaches the other.
+Digraph SharedChildDag() {
+  Digraph g;
+  g.AddNodes(7);
+  for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+           {0, 1}, {0, 2}, {1, 3}, {1, 5}, {2, 3}, {2, 6}, {3, 4}}) {
+    g.AddEdge(u, v);
+  }
+  return g;
+}
+
+// A closure-mode index plus the backend=bfs reference session and a
+// brute-force candidate set, driven through the same observed folds. The
+// reference takes single questions only, so after a batched round the
+// outcomes are checked against brute force alone.
+class ObservedFoldHarness {
+ public:
+  ObservedFoldHarness(const Hierarchy& h, const Distribution& dist)
+      : h_(&h),
+        weights_(dist.weights()),
+        base_(h, weights_),
+        index_(base_),
+        alive_(h.NumNodes(), true) {
+    GreedyNaiveOptions bfs;
+    bfs.backend = SelectionBackend::kBfsRescan;
+    reference_policy_ = std::make_unique<GreedyNaivePolicy>(h, dist, bfs);
+    reference_ = reference_policy_->NewSession();
+  }
+
+  // Folds (q, yes) into all three; the index's outcome must equal the
+  // reference session's, and the candidates must match brute force after.
+  StatusCode Fold(NodeId q, bool yes) {
+    TranscriptStep step;
+    step.nodes = {q};
+    step.yes = yes;
+    const StatusCode expected =
+        reference_ != nullptr ? reference_->TryApplyObserved(step).code()
+                              : ExpectedOutcome(q, yes);
+    const NodeId root_before = index_.root();
+    const Status status = index_.TryApplyObservedReach(q, yes);
+    EXPECT_EQ(status.code(), expected)
+        << "q=" << q << " yes=" << yes << ": " << status.ToString();
+    if (status.ok()) {
+      const bool was_alive = q < alive_.size() && alive_[q];
+      for (NodeId t = 0; t < h_->NumNodes(); ++t) {
+        alive_[t] = alive_[t] && h_->reach().Reaches(q, t) == yes;
+      }
+      // The root moves down on an alive yes and nowhere else.
+      EXPECT_EQ(index_.root(), yes && was_alive ? q : root_before);
+    } else {
+      EXPECT_EQ(index_.root(), root_before);
+    }
+    ExpectMatchesMirror();
+    return status.code();
+  }
+
+  void ApplyBatch(const std::vector<NodeId>& nodes,
+                  const std::vector<bool>& answers) {
+    index_.ApplyBatch(nodes, answers);
+    reference_.reset();
+    for (NodeId t = 0; t < h_->NumNodes(); ++t) {
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        alive_[t] = alive_[t] && h_->reach().Reaches(nodes[i], t) == answers[i];
+      }
+    }
+    ExpectMatchesMirror();
+  }
+
+  void ExpectMatchesMirror() const {
+    std::size_t count = 0;
+    Weight total = 0;
+    for (NodeId t = 0; t < h_->NumNodes(); ++t) {
+      ASSERT_EQ(index_.IsAlive(t), alive_[t]) << "node " << t;
+      count += alive_[t] ? 1 : 0;
+      total += alive_[t] ? weights_[t] : 0;
+    }
+    ASSERT_EQ(index_.AliveCount(), count);
+    ASSERT_EQ(index_.TotalAlive(), total);
+    for (NodeId v = 0; v < h_->NumNodes(); ++v) {
+      std::size_t inside = 0;
+      for (NodeId t = 0; t < h_->NumNodes(); ++t) {
+        inside += alive_[t] && h_->reach().Reaches(v, t) ? 1 : 0;
+      }
+      ASSERT_EQ(index_.ReachCount(v), inside) << "node " << v;
+    }
+  }
+
+  const SplitWeightIndex& index() const { return index_; }
+
+ private:
+  // TryApplyObservedReach's contract, by brute force over the mirror.
+  StatusCode ExpectedOutcome(NodeId q, bool yes) const {
+    if (q >= h_->NumNodes()) {
+      return StatusCode::kOutOfRange;
+    }
+    std::size_t alive = 0;
+    std::size_t inside = 0;
+    for (NodeId t = 0; t < h_->NumNodes(); ++t) {
+      alive += alive_[t] ? 1 : 0;
+      inside += alive_[t] && h_->reach().Reaches(q, t) ? 1 : 0;
+    }
+    if (yes) {
+      if (inside == 0) {
+        return StatusCode::kInvalidArgument;
+      }
+      return alive_[q] || inside == alive ? StatusCode::kOk
+                                          : StatusCode::kUnimplemented;
+    }
+    return inside == alive && inside > 0 ? StatusCode::kInvalidArgument
+                                         : StatusCode::kOk;
+  }
+
+  const Hierarchy* h_;
+  std::vector<Weight> weights_;
+  SplitWeightBase base_;
+  SplitWeightIndex index_;
+  std::vector<bool> alive_;
+  std::unique_ptr<GreedyNaivePolicy> reference_policy_;
+  std::unique_ptr<SearchSession> reference_;
+};
+
+TEST(ObservedReach, ClosureOutcomesMatchBfsReference) {
+  for (const bool compressed : {true, false}) {
+    SCOPED_TRACE(compressed ? "compressed rows" : "dense rows");
+    const Hierarchy h = BuildClosure(SharedChildDag(), compressed);
+    const Distribution dist =
+        MustDist(std::vector<Weight>{1, 2, 3, 4, 5, 6, 7});
+    ObservedFoldHarness fold(h, dist);
+    EXPECT_EQ(fold.Fold(7, true), StatusCode::kOutOfRange);
+    EXPECT_EQ(fold.Fold(0, false), StatusCode::kInvalidArgument);
+    EXPECT_EQ(fold.Fold(1, true), StatusCode::kOk);  // C = {1, 3, 4, 5}
+    EXPECT_EQ(fold.index().root(), 1u);
+    // R(6) misses C; R(2) meets it in {3, 4} though 2 itself is dead.
+    EXPECT_EQ(fold.Fold(6, true), StatusCode::kInvalidArgument);
+    EXPECT_EQ(fold.Fold(2, true), StatusCode::kUnimplemented);
+    EXPECT_EQ(fold.Fold(5, false), StatusCode::kOk);  // C = {1, 3, 4}
+    EXPECT_EQ(fold.Fold(6, false), StatusCode::kOk);  // already known
+    EXPECT_EQ(fold.Fold(3, true), StatusCode::kOk);   // C = {3, 4}
+    EXPECT_EQ(fold.index().root(), 3u);
+    // Dead nodes whose rows cover C: a yes carries no information and must
+    // not move the root up to them.
+    EXPECT_EQ(fold.Fold(2, true), StatusCode::kOk);
+    EXPECT_EQ(fold.Fold(1, true), StatusCode::kOk);
+    EXPECT_EQ(fold.index().root(), 3u);
+    EXPECT_EQ(fold.Fold(3, false), StatusCode::kInvalidArgument);
+    EXPECT_EQ(fold.Fold(4, false), StatusCode::kOk);  // C = {3}
+    EXPECT_EQ(fold.index().AliveCount(), 1u);
+  }
+}
+
+TEST(ObservedReach, YesTheRootDoesNotReachBesideABatchedYes) {
+  // A batched round answering yes for both 1 and 2 moves the root to 1 and
+  // keeps 2 as a yes the root does not reach: C = R(1) ∩ R(2) = {3, 4}.
+  // Observed folds on top of that state must still see exactly C.
+  for (const bool compressed : {true, false}) {
+    SCOPED_TRACE(compressed ? "compressed rows" : "dense rows");
+    const Hierarchy h = BuildClosure(SharedChildDag(), compressed);
+    const Distribution dist =
+        MustDist(std::vector<Weight>{1, 1, 1, 1, 1, 1, 1});
+    ObservedFoldHarness fold(h, dist);
+    fold.ApplyBatch({1, 2}, {true, true});
+    EXPECT_EQ(fold.index().root(), 1u);
+    EXPECT_EQ(fold.index().AliveCount(), 2u);
+    // 2 is dead, the root does not reach it, and its row covers C.
+    EXPECT_EQ(fold.Fold(2, true), StatusCode::kOk);
+    EXPECT_EQ(fold.index().root(), 1u);
+    EXPECT_EQ(fold.Fold(6, true), StatusCode::kInvalidArgument);
+    EXPECT_EQ(fold.Fold(5, true), StatusCode::kInvalidArgument);
+    EXPECT_EQ(fold.Fold(2, false), StatusCode::kInvalidArgument);
+    EXPECT_EQ(fold.Fold(3, true), StatusCode::kOk);
+    EXPECT_EQ(fold.index().root(), 3u);
+    EXPECT_EQ(fold.Fold(4, false), StatusCode::kOk);  // C = {3}
+    EXPECT_EQ(fold.index().AliveCount(), 1u);
+  }
+}
+
+TEST(ObservedReach, RandomClosureFoldsMatchBfsReference) {
+  // Random observed steps — truthful ones, arbitrary ones that hit every
+  // rejection, and out-of-range nodes — on random DAGs over both row
+  // encodings.
+  Rng rng(41);
+  for (int round = 0; round < 24; ++round) {
+    const bool compressed = round % 2 == 0;
+    Rng graph_rng(rng.Next());
+    const Hierarchy h = BuildClosure(
+        RandomDag(3 + rng.UniformInt(30), graph_rng, 0.5), compressed);
+    const Distribution dist =
+        MustDist(RandomWeights(h.NumNodes(), rng, 50, 0.2));
+    ObservedFoldHarness fold(h, dist);
+    const NodeId target = static_cast<NodeId>(rng.UniformInt(h.NumNodes()));
+    for (int step = 0; step < 20; ++step) {
+      const NodeId q = static_cast<NodeId>(rng.UniformInt(h.NumNodes() + 1));
+      const bool yes = q < h.NumNodes() && rng.Bernoulli(0.7)
+                           ? h.reach().Reaches(q, target)
+                           : rng.Bernoulli(0.5);
+      fold.Fold(q, yes);
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+    }
   }
 }
 
@@ -557,6 +790,118 @@ TEST(SelectionEquivalence, CostSensitiveMatchesBfsReferenceScan) {
         }
       }
     }
+  }
+}
+
+// ---- concurrent planning ---------------------------------------------------
+
+TEST(ConcurrentPlanning, InterleavedSessionsOnFourThreadsMatchSerial) {
+  // Four threads step sessions of three closure-mode policies from one
+  // shared queue, one question at a time, so every thread's view memo sees
+  // sessions interleave, hop threads, finish and be freed while new ones
+  // reuse their memory. Every transcript must equal the serial run's.
+  CatalogParams params;
+  params.num_nodes = 400;
+  params.height = 7;
+  params.max_out_degree = 12;
+  params.extra_parent_frac = 0.1;
+  params.seed = 5;
+  const Hierarchy h = MustBuild(GenerateCatalogDag(params));
+  const Distribution dist = AssignZipfObjectCounts(h.NumNodes(), 50'000, 1.0, 6);
+  const PolicyContext context{&h, &dist, nullptr};
+  const std::vector<std::string> specs = {"greedy", "batched:k=4", "wigs"};
+  std::vector<std::unique_ptr<Policy>> policies;
+  for (const std::string& spec : specs) {
+    auto policy = PolicyRegistry::Global().Create(spec, context);
+    ASSERT_TRUE(policy.ok()) << policy.status().ToString();
+    policies.push_back(*std::move(policy));
+  }
+
+  struct Job {
+    std::size_t policy;
+    NodeId target;
+    std::unique_ptr<SearchSession> session;
+    std::vector<std::vector<NodeId>> rounds;
+  };
+  std::vector<Job> jobs;
+  for (NodeId target = 0; target < h.NumNodes(); target += 5) {
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      jobs.push_back(Job{p, target, nullptr, {}});
+    }
+  }
+  std::vector<std::vector<std::vector<NodeId>>> serial(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    ExactOracle oracle(h.reach(), jobs[j].target);
+    auto session = policies[jobs[j].policy]->NewSession();
+    serial[j] = RecordTranscript(*session, oracle, jobs[j].target);
+  }
+
+  // Steps job j by one question; false once its search is done.
+  const auto step = [&](Job& job) {
+    if (job.session == nullptr) {
+      job.session = policies[job.policy]->NewSession();
+    }
+    const Query q = job.session->Next();
+    if (q.kind == Query::Kind::kDone) {
+      EXPECT_EQ(q.node, job.target);
+      job.session.reset();
+      return false;
+    }
+    ExactOracle oracle(h.reach(), job.target);
+    if (q.kind == Query::Kind::kReach) {
+      job.rounds.push_back({q.node});
+      job.session->OnReach(q.node, oracle.Reach(q.node));
+      return true;
+    }
+    job.rounds.push_back(q.choices);
+    std::vector<bool> answers;
+    for (const NodeId v : q.choices) {
+      answers.push_back(oracle.Reach(v));
+    }
+    job.session->OnReachBatch(q.choices, answers);
+    return true;
+  };
+
+  // At most 24 sessions are live at once; a thread pops the front one,
+  // steps it, and pushes it back unless it finished.
+  std::mutex mu;
+  std::deque<std::size_t> live;
+  std::size_t next_job = 0;
+  const auto refill = [&] {
+    while (live.size() < 24 && next_job < jobs.size()) {
+      live.push_back(next_job++);
+    }
+  };
+  refill();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (;;) {
+        std::size_t j;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          if (live.empty()) {
+            return;
+          }
+          j = live.front();
+          live.pop_front();
+        }
+        const bool more = step(jobs[j]);
+        std::lock_guard<std::mutex> lock(mu);
+        if (more) {
+          live.push_back(j);
+        } else {
+          refill();
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    ASSERT_EQ(jobs[j].rounds, serial[j])
+        << specs[jobs[j].policy] << " target " << jobs[j].target;
   }
 }
 
