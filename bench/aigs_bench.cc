@@ -1,8 +1,12 @@
 // aigs_bench — the unified, config-driven bench harness. Replaces the
 // former per-experiment bench_* binaries: every experiment is a named suite
 // built from ScenarioSpec rows (dataset × distribution × policy × cost
-// model × threads) and all scenario results can be exported as JSON lines
-// or CSV with one schema.
+// model × threads). --json exports the scenario rows and the perf records
+// (latencies, rates, sizes) as JSON lines, --csv the scenario rows.
+//
+// Exit status: 0 on success; 1 when a deterministic check failed (cost
+// drift against --baseline, an identity or byte-equality check, a memory
+// gate) or a run error; 3 when only wall-clock gates failed; 2 on usage.
 //
 //   aigs_bench --list                      # suites and registered policies
 //   aigs_bench --suite table3,fig5        # run suites
@@ -37,6 +41,7 @@ int Usage() {
       "                  [--baseline FILE] [--scenario \"key=val;key=val\"]\n"
       "--baseline compares the run's cost aggregates against a committed\n"
       "JSON-lines dump and fails on drift (CI regression guard).\n"
+      "exit 1: a deterministic check failed; 3: only timing gates failed.\n"
       "run 'aigs_bench --list' for suites, policies, and scenario fields.\n");
   return 2;
 }
@@ -51,37 +56,48 @@ int List() {
     std::printf("  %-16s %s\n", entry.name.c_str(), entry.help.c_str());
   }
   std::printf(
-      "\nscenario fields: dataset=amazon|imagenet|vehicle|fig2|fig3; "
-      "scale=frac;\n  dist=real|equal|uniform|exponential|zipf[:a]; "
-      "policy=<registry spec>;\n  cost=unit|uniform:lo:hi|depth:lo:hi|fig3; "
-      "oracle=exact|noisy:p|persistent:p;\n  reps=n; "
-      "samples=n (0=exact); threads=n; seed=n\n");
+      "\nscenario fields: label=text; "
+      "dataset=amazon|imagenet|vehicle|fig2|fig3; scale=frac;\n"
+      "  dist=real|equal|uniform|exponential|zipf[:a]; "
+      "policy=<registry spec>;\n"
+      "  cost=unit|uniform:lo:hi|depth:lo:hi|prices:p0+p1+...|"
+      "prices:hash:lo:hi[:seed]|fig3;\n"
+      "  reach=auto|dense|compressed; oracle=exact|noisy:p|persistent:p;\n"
+      "  service=inprocess|engine; cache=on|off; reps=n; "
+      "samples=n (0=exact);\n"
+      "  threads=n; build_threads=n; seed=n\n");
   return 0;
 }
 
 int CheckBaseline(const std::vector<ScenarioResult>& results,
+                  const std::vector<PerfRecord>& perf,
                   const std::string& baseline_path, bool require_complete) {
   if (baseline_path.empty()) {
     return 0;
   }
   const Status status =
-      CheckAgainstBaseline(results, baseline_path, require_complete);
+      CheckAgainstBaseline(results, perf, baseline_path, require_complete);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;
   }
-  std::printf("baseline: %s OK (%zu scenarios, cost aggregates match)\n",
-              baseline_path.c_str(), results.size());
+  std::printf("baseline: %s OK (%zu cost rows match, %zu perf records "
+              "present)\n",
+              baseline_path.c_str(), results.size(), perf.size());
   return 0;
 }
 
 int EmitResults(const std::vector<ScenarioResult>& results,
+                const std::vector<PerfRecord>& perf,
                 const std::string& json_path, const std::string& csv_path) {
   int code = 0;
   if (!json_path.empty()) {
     std::string doc;
     for (const ScenarioResult& r : results) {
       doc += ScenarioResultToJson(r) + "\n";
+    }
+    for (const PerfRecord& record : perf) {
+      doc += PerfRecordToJson(record) + "\n";
     }
     FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {
@@ -90,8 +106,8 @@ int EmitResults(const std::vector<ScenarioResult>& results,
     } else {
       std::fwrite(doc.data(), 1, doc.size(), f);
       std::fclose(f);
-      std::printf("json: %s (%zu scenarios)\n", json_path.c_str(),
-                  results.size());
+      std::printf("json: %s (%zu scenarios, %zu perf records)\n",
+                  json_path.c_str(), results.size(), perf.size());
     }
   }
   if (!csv_path.empty()) {
@@ -179,7 +195,6 @@ int Main(int argc, char** argv) {
   }
 
   DatasetCache cache;
-  std::vector<ScenarioResult> results;
 
   if (!scenario_text.empty()) {
     auto spec = ParseScenarioSpec(scenario_text);
@@ -197,11 +212,11 @@ int Main(int argc, char** argv) {
       return 1;
     }
     std::printf("%s\n", ScenarioResultToJson(*result).c_str());
-    results.push_back(*result);
-    const int emit_code = EmitResults(results, json_path, csv_path);
+    const std::vector<ScenarioResult> results = {*result};
+    const int emit_code = EmitResults(results, {}, json_path, csv_path);
     // Ad-hoc cells spot-check only the labels they ran.
-    const int baseline_code =
-        CheckBaseline(results, baseline_path, /*require_complete=*/false);
+    const int baseline_code = CheckBaseline(results, {}, baseline_path,
+                                            /*require_complete=*/false);
     return emit_code != 0 ? emit_code : baseline_code;
   }
 
@@ -224,29 +239,40 @@ int Main(int argc, char** argv) {
   ctx.threads = threads;
   ctx.smoke = smoke;
   ctx.cache = &cache;
-  ctx.results = &results;
 
-  int code = 0;
+  bool suite_failed = false;
   for (const std::string& name : suite_names) {
     const Suite* suite = FindSuite(name);
     if (suite == nullptr) {
       std::fprintf(stderr, "unknown suite '%s'; try --list\n", name.c_str());
       return 2;
     }
-    const int suite_code = suite->fn(ctx);
-    code = code == 0 ? suite_code : code;
+    const Status status = suite->fn(ctx);
+    if (!status.ok()) {
+      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+      suite_failed = true;
+    }
     std::printf("\n");
   }
-  const int emit_code = EmitResults(results, json_path, csv_path);
-  // The cost guard runs even when a suite failed (a wall-clock gate must
-  // not hide a cost regression); it then checks only the rows that ran,
-  // so the partial set adds no "was not run" noise.
-  const int baseline_code =
-      CheckBaseline(results, baseline_path, /*require_complete=*/code == 0);
-  if (code != 0) {
-    return code;
+  const int emit_code = EmitResults(ctx.results, ctx.perf, json_path,
+                                    csv_path);
+  // Timing gates never stop a suite, so only a failed deterministic check
+  // leaves rows unrun; the guard then checks the rows that ran, without
+  // "was not run" noise.
+  const int baseline_code = CheckBaseline(ctx.results, ctx.perf,
+                                          baseline_path,
+                                          /*require_complete=*/!suite_failed);
+  if (!ctx.timing_failures.empty()) {
+    std::string summary;
+    for (const std::string& failure : ctx.timing_failures) {
+      summary += (summary.empty() ? "" : "; ") + failure;
+    }
+    std::fprintf(stderr, "timing gates failed: %s\n", summary.c_str());
   }
-  return emit_code != 0 ? emit_code : baseline_code;
+  if (suite_failed || emit_code != 0 || baseline_code != 0) {
+    return 1;
+  }
+  return ctx.timing_failures.empty() ? 0 : 3;
 }
 
 }  // namespace

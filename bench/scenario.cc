@@ -583,6 +583,18 @@ std::string ScenarioResultToJson(const ScenarioResult& r) {
   return json;
 }
 
+std::string PerfRecordToJson(const PerfRecord& r) {
+  const auto quoted = [](const std::string& s) {
+    return std::string("\"") + JsonEscape(s) + "\"";
+  };
+  return "{\"suite\":" + quoted(r.suite) + ",\"metric\":" + quoted(r.metric) +
+         ",\"unit\":" + quoted(r.unit) +
+         ",\"value\":" + FormatDouble(r.value, 6) +
+         ",\"layer\":" + quoted(r.layer) +
+         ",\"config\":{\"dataset\":" + quoted(r.config.dataset) +
+         ",\"nodes\":" + std::to_string(r.config.nodes) + "}}";
+}
+
 std::vector<std::string> ScenarioCsvHeader() {
   return {"label",         "dataset",       "nodes",
           "scale",         "distribution",  "policy",
@@ -630,8 +642,8 @@ std::vector<std::string> ScenarioCsvRow(const ScenarioResult& r) {
 namespace {
 
 /// Extracts the string value of `key` from one emitted JSON line. The lines
-/// come from ScenarioResultToJson, so a flat scan for the quoted key is
-/// enough (labels never contain escaped quotes).
+/// come from ScenarioResultToJson / PerfRecordToJson, so a flat scan for the
+/// quoted key is enough (labels never contain escaped quotes).
 StatusOr<std::string> JsonField(const std::string& line,
                                 const std::string& key) {
   const std::string needle = "\"" + key + "\":";
@@ -687,41 +699,53 @@ bool MetricsClose(double fresh, double baseline) {
 }  // namespace
 
 Status CheckAgainstBaseline(const std::vector<ScenarioResult>& results,
+                            const std::vector<PerfRecord>& perf,
                             const std::string& baseline_path,
                             bool require_complete) {
   std::ifstream in(baseline_path);
   if (!in) {
     return Status::NotFound("cannot read baseline file " + baseline_path);
   }
-  std::map<std::string, std::string> baseline_lines;  // label -> JSON line
+  std::map<std::string, std::string> cost_lines;  // label -> JSON line
+  std::set<std::string> perf_labels;
   std::string line;
   while (std::getline(in, line)) {
     if (Trim(line).empty()) {
       continue;
     }
-    AIGS_ASSIGN_OR_RETURN(const std::string label, JsonField(line, "label"));
-    baseline_lines[label] = line;
+    if (line.find("\"metric\":") != std::string::npos) {
+      AIGS_ASSIGN_OR_RETURN(const std::string suite, JsonField(line, "suite"));
+      AIGS_ASSIGN_OR_RETURN(const std::string metric,
+                            JsonField(line, "metric"));
+      perf_labels.insert(suite + "/" + metric);
+    } else {
+      AIGS_ASSIGN_OR_RETURN(const std::string label, JsonField(line, "label"));
+      cost_lines[label] = line;
+    }
   }
 
   std::string failures;
   const auto add_failure = [&failures](const std::string& what) {
     failures += (failures.empty() ? "" : "\n  ") + what;
   };
+  // A label the baseline has never seen: in a complete run that means the
+  // baseline needs regenerating; a spot check just skips it.
+  const auto unknown = [&](const std::string& label) {
+    if (require_complete) {
+      add_failure("'" + label + "' missing from baseline (new scenario?)");
+    }
+  };
   std::set<std::string> seen;
-  std::size_t compared = 0;
+  std::size_t checked = 0;
   for (const ScenarioResult& r : results) {
     const std::string& label = r.spec.label;
     seen.insert(label);
-    const auto it = baseline_lines.find(label);
-    if (it == baseline_lines.end()) {
-      // A label the baseline has never seen: in a complete run that means
-      // the baseline needs regenerating; a spot check just skips it.
-      if (require_complete) {
-        add_failure("'" + label + "' missing from baseline (new scenario?)");
-      }
+    const auto it = cost_lines.find(label);
+    if (it == cost_lines.end()) {
+      unknown(label);
       continue;
     }
-    ++compared;
+    ++checked;
     for (const char* metric : kGuardedMetrics) {
       AIGS_ASSIGN_OR_RETURN(const double expected,
                             JsonNumber(it->second, metric));
@@ -733,18 +757,33 @@ Status CheckAgainstBaseline(const std::vector<ScenarioResult>& results,
       }
     }
   }
+  for (const PerfRecord& record : perf) {
+    const std::string label = record.label();
+    seen.insert(label);
+    if (perf_labels.count(label) == 0) {
+      unknown(label);
+      continue;
+    }
+    ++checked;
+  }
   if (require_complete) {
-    for (const auto& [label, unused] : baseline_lines) {
-      if (seen.find(label) == seen.end()) {
-        add_failure("baseline scenario '" + label + "' was not run");
+    const auto stale = [&](const std::string& label) {
+      if (seen.count(label) == 0) {
+        add_failure("baseline label '" + label + "' was not run");
       }
+    };
+    for (const auto& [label, unused] : cost_lines) {
+      stale(label);
+    }
+    for (const std::string& label : perf_labels) {
+      stale(label);
     }
   }
   if (!failures.empty()) {
     return Status::Internal("baseline drift vs " + baseline_path + ":\n  " +
                             failures);
   }
-  if (compared == 0) {
+  if (checked == 0) {
     return Status::InvalidArgument(
         "no run label appears in baseline " + baseline_path +
         " — nothing was compared");

@@ -1,7 +1,8 @@
 // The unified bench harness's scenario layer: one struct describes a
 // (dataset × distribution × policy × cost model × threads) evaluation cell,
 // one function runs it through the registry + the sharded Evaluator, and
-// uniform JSON/CSV emitters make every suite's output machine-readable.
+// JSON/CSV emitters make every suite's output machine-readable. Numbers
+// that are not cost aggregates (latencies, rates, sizes) are PerfRecords.
 //
 // Spec string syntax (ad-hoc scenarios, `aigs_bench --scenario`):
 //   "dataset=amazon;scale=0.25;dist=zipf:2;policy=batched:k=8;
@@ -104,6 +105,28 @@ struct ScenarioResult {
   double cache_hit_rate = 0;
 };
 
+/// One measured number that is not a cost aggregate: a latency, rate, size
+/// or ratio. Suites report every such number this way. Its value varies
+/// with the hardware, so the baseline guard checks only that it is present.
+struct PerfRecord {
+  /// The suite that measured it; `suite + "/" + metric` is its label.
+  std::string suite;
+  std::string metric;
+  /// ms | krps | ns | MB | bytes | x (a ratio).
+  std::string unit;
+  double value = 0;
+  /// The layer the number belongs to, in servebench's names: net | service
+  /// | core | graph | util.kernels.
+  std::string layer;
+  /// The input it was measured on.
+  struct Config {
+    std::string dataset;
+    std::size_t nodes = 0;
+  } config;
+
+  std::string label() const { return suite + "/" + metric; }
+};
+
 /// Builds each (dataset, scale) pair at most once per process.
 class DatasetCache {
  public:
@@ -145,21 +168,27 @@ StatusOr<ScenarioSpec> ParseScenarioSpec(const std::string& text);
 /// One JSON object per result (JSON-lines friendly).
 std::string ScenarioResultToJson(const ScenarioResult& result);
 
-/// Uniform CSV schema shared by every suite.
+/// One JSON object per perf record, in its own line shape:
+/// {"suite","metric","unit","value","layer","config":{"dataset","nodes"}}.
+std::string PerfRecordToJson(const PerfRecord& record);
+
+/// CSV schema of the scenario rows (perf records are JSON only).
 std::vector<std::string> ScenarioCsvHeader();
 std::vector<std::string> ScenarioCsvRow(const ScenarioResult& result);
 
-/// Regression guard: compares freshly-run results against a committed
-/// JSON-lines baseline (a previous `--json` dump). Only deterministic cost
-/// aggregates are compared — expected_cost, expected_priced_cost,
-/// expected_reach_queries, expected_rounds, max_cost — never wall time, so
-/// the guard is stable across hardware. Fails listing every drifted,
-/// missing, or stale scenario label; regenerate the baseline with the same
-/// run that produced it (e.g. `aigs_bench --smoke --json <baseline>`).
-/// `require_complete` additionally fails on baseline labels the run never
-/// produced — set it when the run covers the same suite set as the
-/// baseline (CI smoke), clear it to spot-check a subset (`--scenario`).
+/// Regression guard: compares a fresh run against a committed JSON-lines
+/// baseline (a previous `--json` dump). Scenario lines are compared on the
+/// deterministic cost aggregates only — expected_cost, expected_priced_cost,
+/// expected_reach_queries, expected_rounds, accuracy, max_cost — never wall
+/// time, so the guard is stable across hardware. Perf-record lines are
+/// checked for presence only. Fails listing every drifted, missing, or
+/// stale label; regenerate the baseline with the same run that produced it
+/// (e.g. `aigs_bench --smoke --json <baseline>`). `require_complete`
+/// additionally fails on baseline labels the run never produced — set it
+/// when the run covers the same suite set as the baseline (CI smoke), clear
+/// it to spot-check a subset (`--scenario`).
 Status CheckAgainstBaseline(const std::vector<ScenarioResult>& results,
+                            const std::vector<PerfRecord>& perf,
                             const std::string& baseline_path,
                             bool require_complete);
 

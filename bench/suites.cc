@@ -11,7 +11,6 @@
 #include <list>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 #include "core/policy_registry.h"
@@ -53,9 +52,7 @@ StatusOr<ScenarioResult> Run(SuiteContext& ctx, ScenarioSpec spec) {
     }
   }
   AIGS_ASSIGN_OR_RETURN(ScenarioResult result, RunScenario(spec, *ctx.cache));
-  if (ctx.results != nullptr) {
-    ctx.results->push_back(result);
-  }
+  ctx.results.push_back(result);
   return result;
 }
 
@@ -71,6 +68,25 @@ StatusOr<std::unique_ptr<Policy>> MakePolicyFor(const std::string& spec,
   context.distribution = &dist;
   context.cost_model = costs;
   return PolicyRegistry::Global().Create(spec, context);
+}
+
+/// Publishes one epoch of `h` under `dist` serving `specs`. A nonzero
+/// `max_price` prices questions at random in [1, max_price], drawn from
+/// Rng(7) on every call, so catalogs built from the same graph share a
+/// fingerprint and their Save blobs stay comparable; 0 keeps unit prices.
+Status PublishEpoch(Engine& engine, const Hierarchy& h,
+                    const Distribution& dist, std::vector<std::string> specs,
+                    std::uint32_t max_price = 0) {
+  CatalogConfig config;
+  config.hierarchy = UnownedHierarchy(h);
+  config.distribution = dist;
+  if (max_price > 0) {
+    Rng rng(7);
+    config.cost_model = std::make_shared<const CostModel>(
+        CostModel::UniformRandom(h.NumNodes(), 1, max_price, rng));
+  }
+  config.policy_specs = std::move(specs);
+  return engine.Publish(std::move(config)).status();
 }
 
 /// Average per-search wall time over targets sampled from the distribution.
@@ -955,8 +971,9 @@ Status SuiteExample2(SuiteContext& ctx) {
 // ---- plan_cache: warm-prefix question-plan throughput ----------------------
 
 /// Replays one engine session to `depth` answers for `target` (exact
-/// oracle); returns the id, or kInvalidSession when the search finished
-/// early (session closed).
+/// oracle) and leaves it idle (answered, no resolved pending), so a
+/// migration sweep may pick it up; returns the id, or kInvalidSession when
+/// the search finished early (session closed).
 constexpr SessionId kInvalidSession = 0;
 
 StatusOr<SessionId> OpenAtPrefix(Engine& engine, const std::string& spec,
@@ -1020,27 +1037,6 @@ StatusOr<double> TimedAskNanos(Engine& engine, const std::string& spec,
   return total_ms * 1e6 / static_cast<double>(timed);
 }
 
-/// Builds an engine serving one policy spec over a dataset's hierarchy and
-/// real distribution (uniform random prices for cost-aware specs).
-StatusOr<std::unique_ptr<Engine>> MakeSuiteEngine(const Dataset& dataset,
-                                                  const std::string& spec,
-                                                  bool cached) {
-  EngineOptions options;
-  options.plan_cache.enabled = cached;
-  auto engine = std::make_unique<Engine>(options);
-  CatalogConfig config;
-  config.hierarchy = UnownedHierarchy(dataset.hierarchy);
-  config.distribution = dataset.real_distribution;
-  if (spec.rfind("cost_sensitive", 0) == 0) {
-    Rng rng(7);
-    config.cost_model = std::make_shared<CostModel>(
-        CostModel::UniformRandom(dataset.hierarchy.NumNodes(), 1, 10, rng));
-  }
-  config.policy_specs = {spec};
-  AIGS_RETURN_NOT_OK(engine->Publish(std::move(config)).status());
-  return engine;
-}
-
 /// The PR-4 hot path: a million sessions answering the same first few
 /// questions should run the planner once per distinct prefix, not once per
 /// session. Two measurements:
@@ -1101,20 +1097,25 @@ Status SuitePlanCache(SuiteContext& ctx) {
                           ctx.cache->Get(row.dataset, ctx.scale));
     const NodeId target =
         static_cast<NodeId>(d->hierarchy.NumNodes() - 1);
-    AIGS_ASSIGN_OR_RETURN(
-        const std::unique_ptr<Engine> cold,
-        MakeSuiteEngine(*d, row.policy, /*cached=*/false));
-    AIGS_ASSIGN_OR_RETURN(
-        const double cold_ns,
-        TimedAskNanos(*cold, row.policy, d->hierarchy, target, depths,
-                      per_depth));
-    AIGS_ASSIGN_OR_RETURN(const std::unique_ptr<Engine> warm,
-                          MakeSuiteEngine(*d, row.policy, /*cached=*/true));
-    AIGS_ASSIGN_OR_RETURN(
-        const double warm_ns,
-        TimedAskNanos(*warm, row.policy, d->hierarchy, target, depths,
-                      per_depth));
-    const PlanCacheStats stats = warm->Stats().plan_cache;
+    // Cost-aware specs get random prices 1..10.
+    const std::uint32_t max_price =
+        std::string_view(row.policy).starts_with("cost_sensitive") ? 10 : 0;
+    double ask_ns[2] = {0, 0};
+    PlanCacheStats stats;
+    for (const bool cached : {false, true}) {
+      EngineOptions options;
+      options.plan_cache.enabled = cached;
+      Engine engine(options);
+      AIGS_RETURN_NOT_OK(PublishEpoch(engine, d->hierarchy,
+                                      d->real_distribution, {row.policy},
+                                      max_price));
+      AIGS_ASSIGN_OR_RETURN(ask_ns[cached ? 1 : 0],
+                            TimedAskNanos(engine, row.policy, d->hierarchy,
+                                          target, depths, per_depth));
+      stats = engine.Stats().plan_cache;
+    }
+    const double cold_ns = ask_ns[0];
+    const double warm_ns = ask_ns[1];
     ask_table.AddRow(
         {row.dataset, row.policy, FormatDouble(cold_ns, 0),
          FormatDouble(warm_ns, 0),
@@ -1131,40 +1132,12 @@ Status SuitePlanCache(SuiteContext& ctx) {
 
 // ---- epoch_lifecycle: migration + warm publish + rolling keys (PR 5) -------
 
-/// Replays one engine session to `depth` answers for `target`; leaves it
-/// IDLE (answered, no resolved pending) so the migration sweep may pick it
-/// up. Returns kInvalidSession when the search finished early.
-StatusOr<SessionId> OpenIdleAtPrefix(Engine& engine, const std::string& spec,
-                                     const Hierarchy& h, NodeId target,
-                                     std::size_t depth) {
-  AIGS_ASSIGN_OR_RETURN(const SessionId id, engine.Open(spec));
-  ExactOracle oracle(h.reach(), target);
-  for (std::size_t d = 0; d < depth; ++d) {
-    AIGS_ASSIGN_OR_RETURN(const Query q, engine.Ask(id));
-    if (q.kind == Query::Kind::kDone) {
-      AIGS_RETURN_NOT_OK(engine.Close(id));
-      return kInvalidSession;
-    }
-    AIGS_RETURN_NOT_OK(engine.Answer(id, AnswerFromOracle(q, oracle)));
-  }
-  return id;
-}
-
 StatusOr<std::unique_ptr<Engine>> MakeLifecycleEngine(bool warm,
                                                       bool sweep) {
   EngineOptions options;
   options.plan_cache.warm_publish = warm;
   options.migration.sweep_on_publish = sweep;
   return std::make_unique<Engine>(options);
-}
-
-Status PublishLifecycleEpoch(Engine& engine, const Dataset& dataset,
-                             const Distribution& dist) {
-  CatalogConfig config;
-  config.hierarchy = UnownedHierarchy(dataset.hierarchy);
-  config.distribution = dist;
-  config.policy_specs = {"greedy"};
-  return engine.Publish(std::move(config)).status();
 }
 
 /// (a) Migration sweep throughput: idle sessions parked at shared prefixes
@@ -1179,14 +1152,14 @@ Status LifecycleMigrationThroughput(SuiteContext& ctx, const Dataset& d) {
   AIGS_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
                         MakeLifecycleEngine(/*warm=*/false, /*sweep=*/true));
   AIGS_RETURN_NOT_OK(
-      PublishLifecycleEpoch(*engine, d, d.real_distribution));
+      PublishEpoch(*engine, h, d.real_distribution, {"greedy"}));
   const AliasTable sampler(d.real_distribution);
   Rng rng(5005);
   std::size_t parked = 0;
   for (std::size_t i = 0; i < kSessions; ++i) {
     AIGS_ASSIGN_OR_RETURN(
         const SessionId id,
-        OpenIdleAtPrefix(*engine, "greedy", h, sampler.Sample(rng), kDepth));
+        OpenAtPrefix(*engine, "greedy", h, sampler.Sample(rng), kDepth));
     parked += id != kInvalidSession ? 1 : 0;
   }
 
@@ -1197,7 +1170,7 @@ Status LifecycleMigrationThroughput(SuiteContext& ctx, const Dataset& d) {
       ZipfRandomDistribution(h.NumNodes(), 2.0, shift_rng);
   const DrainStats before = engine->DrainProgress();
   WallTimer timer;
-  AIGS_RETURN_NOT_OK(PublishLifecycleEpoch(*engine, d, shifted));
+  AIGS_RETURN_NOT_OK(PublishEpoch(*engine, h, shifted, {"greedy"}));
   engine->WaitForDrain();
   const double millis = timer.ElapsedMillis();
   const DrainStats after = engine->DrainProgress();
@@ -1235,13 +1208,13 @@ Status LifecycleWarmPublish(SuiteContext& ctx, const Dataset& d) {
     AIGS_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
                           MakeLifecycleEngine(warm, /*sweep=*/false));
     AIGS_RETURN_NOT_OK(
-        PublishLifecycleEpoch(*engine, d, d.real_distribution));
+        PublishEpoch(*engine, h, d.real_distribution, {"greedy"}));
     const AliasTable sampler(d.real_distribution);
     Rng rng(7007);
     for (std::size_t i = 0; i < kHeatSessions; ++i) {
       AIGS_ASSIGN_OR_RETURN(const SessionId id,
-                            OpenIdleAtPrefix(*engine, "greedy", h,
-                                             sampler.Sample(rng), kDepth));
+                            OpenAtPrefix(*engine, "greedy", h,
+                                         sampler.Sample(rng), kDepth));
       if (id != kInvalidSession) {
         AIGS_RETURN_NOT_OK(engine->Close(id));
       }
@@ -1249,7 +1222,7 @@ Status LifecycleWarmPublish(SuiteContext& ctx, const Dataset& d) {
     // Publish the same weights again: without warm seeding the new trie
     // starts empty and the first post-publish asks all run the planner.
     AIGS_RETURN_NOT_OK(
-        PublishLifecycleEpoch(*engine, d, d.real_distribution));
+        PublishEpoch(*engine, h, d.real_distribution, {"greedy"}));
     engine->WaitForDrain();  // the warm seed runs on the drain worker
     const std::shared_ptr<PlanCache> trie = engine->plan_cache();
     const PlanCacheStats seeded = trie->stats();
@@ -1258,8 +1231,8 @@ Status LifecycleWarmPublish(SuiteContext& ctx, const Dataset& d) {
     PlanCacheStats before_first = trie->stats();
     AIGS_ASSIGN_OR_RETURN(
         const SessionId first,
-        OpenIdleAtPrefix(*engine, "greedy", h, sampler.Sample(fresh_rng),
-                         kDepth));
+        OpenAtPrefix(*engine, "greedy", h, sampler.Sample(fresh_rng),
+                     kDepth));
     const PlanCacheStats after_first = trie->stats();
     if (first != kInvalidSession) {
       AIGS_RETURN_NOT_OK(engine->Close(first));
@@ -1267,8 +1240,8 @@ Status LifecycleWarmPublish(SuiteContext& ctx, const Dataset& d) {
     for (std::size_t i = 1; i < kFreshSessions; ++i) {
       AIGS_ASSIGN_OR_RETURN(
           const SessionId id,
-          OpenIdleAtPrefix(*engine, "greedy", h, sampler.Sample(fresh_rng),
-                           kDepth));
+          OpenAtPrefix(*engine, "greedy", h, sampler.Sample(fresh_rng),
+                       kDepth));
       if (id != kInvalidSession) {
         AIGS_RETURN_NOT_OK(engine->Close(id));
       }
@@ -1397,15 +1370,10 @@ Status LifecycleRollingKeys(SuiteContext& ctx) {
   return Status::OK();
 }
 
-/// Nearest-rank percentile (q in (0, 1]) of a sample, copied and sorted.
-double NearestRankMs(std::vector<double> samples, double q) {
-  return NearestRank(std::move(samples), q);
-}
-
 /// (d) The publish-latency SLO: Publish is the snapshot build plus
 /// an O(1) swap, the sweep runs on the drain worker — so its latency must
-/// stay FLAT as the live-session count grows. Guarded suite-internally
-/// (Status::Internal), never via wall time in the baseline file.
+/// stay FLAT as the live-session count grows. A timing gate, never a
+/// baseline value.
 Status LifecyclePublishLatency(SuiteContext& ctx, const Dataset& d) {
   const std::vector<std::size_t> counts =
       ctx.smoke ? std::vector<std::size_t>{1'000, 8'000}
@@ -1417,7 +1385,8 @@ Status LifecyclePublishLatency(SuiteContext& ctx, const Dataset& d) {
   std::map<std::size_t, double> p50s;  // by session count, for the gate
   for (const std::size_t count : counts) {
     Engine engine;
-    AIGS_RETURN_NOT_OK(PublishLifecycleEpoch(engine, d, d.real_distribution));
+    AIGS_RETURN_NOT_OK(
+        PublishEpoch(engine, d.hierarchy, d.real_distribution, {"greedy"}));
     for (std::size_t i = 0; i < count; ++i) {
       AIGS_RETURN_NOT_OK(engine.Open("greedy").status());
     }
@@ -1427,54 +1396,45 @@ Status LifecyclePublishLatency(SuiteContext& ctx, const Dataset& d) {
       // forward, so each timed Publish faces identical drain work.
       WallTimer timer;
       AIGS_RETURN_NOT_OK(
-          PublishLifecycleEpoch(engine, d, d.real_distribution));
+          PublishEpoch(engine, d.hierarchy, d.real_distribution, {"greedy"}));
       publish_ms.push_back(timer.ElapsedMillis());
       engine.WaitForDrain();
       drained_ms.push_back(timer.ElapsedMillis());
     }
-    const double p50 = NearestRankMs(publish_ms, 0.50);
-    const double p99 = NearestRankMs(publish_ms, 0.99);
-    const double drained = NearestRankMs(drained_ms, 0.50);
+    const double p50 = NearestRank(publish_ms, 0.50);
+    const double p99 = NearestRank(publish_ms, 0.99);
+    const double drained = NearestRank(drained_ms, 0.50);
     p50s[count] = p50;
     table.AddRow({FormatWithCommas(count), FormatDouble(p50, 3),
                   FormatDouble(p99, 3), FormatDouble(drained, 3)});
-    if (ctx.results != nullptr) {
-      // Synthetic guard rows: all cost aggregates are zero by construction
-      // (stable everywhere); the latency lives in wall_ms, which the
-      // baseline guard never compares. The "background" label segment is
-      // kept so the rows stay comparable with earlier baselines.
-      ScenarioResult row;
-      row.spec.label = "epoch_lifecycle/publish_latency/background/" +
-                       d.name + "/" + std::to_string(count);
-      row.spec.dataset = d.name;
-      row.spec.policy = "greedy";
-      row.spec.service = true;
-      row.policy_name = "greedy";
-      row.nodes = d.hierarchy.NumNodes();
-      row.wall_ms = p50;
-      ctx.results->push_back(row);
-    }
+    // The "background" segment keeps the label of earlier baselines.
+    ctx.perf.push_back({"epoch_lifecycle",
+                        "publish_latency/background/" + d.name + "/" +
+                            std::to_string(count),
+                        "ms", p50, "service",
+                        {d.name, d.hierarchy.NumNodes()}});
   }
   std::printf("[publish latency: %s, %zu timed publishes per cell, idle "
               "sessions at depth 0]\n%s\n",
               d.name.c_str(), kReps, table.ToString().c_str());
 
-  // The SLO gate: the publish at the largest session count must stay
-  // within 2x of the smallest (plus 1ms absolute slack — the swap is
-  // microseconds, timer noise is not).
+  // The SLO gate, armed on every build: the publish at the largest session
+  // count must stay within 2x of the smallest (plus 1ms absolute slack —
+  // the swap is microseconds, timer noise is not).
   const double p50_min = p50s[counts.front()];
   const double p50_max = p50s[counts.back()];
-  if (p50_max > 2.0 * p50_min + 1.0) {
-    return Status::Internal(
-        "publish latency SLO violated: p50 grew from " +
-        FormatDouble(p50_min, 3) + "ms at " +
-        std::to_string(counts.front()) + " sessions to " +
-        FormatDouble(p50_max, 3) + "ms at " + std::to_string(counts.back()) +
-        " — the swap is no longer O(1) in the session count");
-  }
-  std::printf("publish p50 flat in the session count (within 2x "
-              "%zu -> %zu): OK\n\n",
-              counts.front(), counts.back());
+  TimingGate gate(ctx, "publish_latency",
+                  {.optimized = false, .unsanitized = false});
+  gate.FailIf(p50_max > 2.0 * p50_min + 1.0,
+              "publish latency SLO violated: p50 grew from " +
+                  FormatDouble(p50_min, 3) + "ms at " +
+                  std::to_string(counts.front()) + " sessions to " +
+                  FormatDouble(p50_max, 3) + "ms at " +
+                  std::to_string(counts.back()) +
+                  " — the swap is no longer O(1) in the session count");
+  gate.Finish("publish p50 flat in the session count (within 2x " +
+              std::to_string(counts.front()) + " -> " +
+              std::to_string(counts.back()) + ")");
   return Status::OK();
 }
 
@@ -1558,7 +1518,8 @@ class BenchDir {
 StatusOr<std::unique_ptr<Engine>> MakeDurableEngine(
     const Dataset& d, const std::string& dir, const WalSyncOptions* sync) {
   auto engine = std::make_unique<Engine>();
-  AIGS_RETURN_NOT_OK(PublishLifecycleEpoch(*engine, d, d.real_distribution));
+  AIGS_RETURN_NOT_OK(
+      PublishEpoch(*engine, d.hierarchy, d.real_distribution, {"greedy"}));
   if (sync != nullptr) {
     DurabilityOptions dopts;
     dopts.dir = dir;
@@ -1618,61 +1579,34 @@ Status DurabilityAnswerOverhead(SuiteContext& ctx, const Dataset& d) {
       }
       AIGS_RETURN_NOT_OK(engine->Close(id));
     }
-    const double p50_us = NearestRankMs(op_ms, 0.50) * 1000.0;
-    const double p99_us = NearestRankMs(op_ms, 0.99) * 1000.0;
+    const double p50_us = NearestRank(op_ms, 0.50) * 1000.0;
+    const double p99_us = NearestRank(op_ms, 0.99) * 1000.0;
     p50s[mode.name] = p50_us;
     table.AddRow({mode.name, FormatWithCommas(op_ms.size()),
                   FormatDouble(p50_us, 2), FormatDouble(p99_us, 2),
                   p50s.count("off") != 0 && p50s["off"] > 0
                       ? FormatDouble(p50_us / p50s["off"], 2) + "x"
                       : "-"});
-    if (ctx.results != nullptr) {
-      // Wall-only synthetic row: the latency lives in wall_ms, which the
-      // baseline guard never compares.
-      ScenarioResult row;
-      row.spec.label = std::string("durability/answer_p50/") + mode.name;
-      row.spec.dataset = d.name;
-      row.spec.policy = "greedy";
-      row.spec.service = true;
-      row.policy_name = "greedy";
-      row.nodes = d.hierarchy.NumNodes();
-      row.wall_ms = p50_us / 1000.0;
-      ctx.results->push_back(row);
-    }
+    ctx.perf.push_back({"durability", std::string("answer_p50/") + mode.name,
+                        "ms", p50_us / 1000.0, "service",
+                        {d.name, d.hierarchy.NumNodes()}});
   }
   std::printf("[hot-path WAL overhead: %s, greedy, per-op Ask+Answer "
               "latency]\n%s\n",
               d.name.c_str(), table.ToString().c_str());
 
   // The absolute slack is tuned for uninstrumented builds; under ASan/TSan
-  // every WAL-path allocation and syscall is instrumented, so the latency
-  // gate is meaningless there (CI's sanitize --smoke runs are about memory
-  // safety, not SLOs) — measure and report, but do not gate.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  constexpr bool kSanitizedBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  constexpr bool kSanitizedBuild = true;
-#else
-  constexpr bool kSanitizedBuild = false;
-#endif
-#else
-  constexpr bool kSanitizedBuild = false;
-#endif
+  // every WAL-path allocation and syscall is instrumented, so the gate is
+  // meaningless there. Unlike most gates it also arms on debug builds.
   const double off = p50s["off"];
   const double interval = p50s["wal:interval:64"];
-  if (kSanitizedBuild) {
-    std::printf("fsync=interval SLO gate skipped (sanitized build)\n\n");
-    return Status::OK();
-  }
-  if (interval > 1.5 * off + 0.002 * 1000.0) {
-    return Status::Internal(
-        "durability SLO violated: fsync=interval Ask+Answer p50 (" +
-        FormatDouble(interval, 2) + "us) exceeds 1.5x the WAL-off p50 (" +
-        FormatDouble(off, 2) + "us) + 2us slack");
-  }
-  std::printf("fsync=interval p50 within 1.5x of WAL off (+2us slack): "
-              "OK\n\n");
+  TimingGate gate(ctx, "durability", {.optimized = false});
+  gate.FailIf(interval > 1.5 * off + 0.002 * 1000.0,
+              "durability SLO violated: fsync=interval Ask+Answer p50 (" +
+                  FormatDouble(interval, 2) +
+                  "us) exceeds 1.5x the WAL-off p50 (" +
+                  FormatDouble(off, 2) + "us) + 2us slack");
+  gate.Finish("fsync=interval p50 within 1.5x of WAL off (+2us slack)");
   return Status::OK();
 }
 
@@ -1701,7 +1635,7 @@ Status DurabilityRecoveryThroughput(SuiteContext& ctx, const Dataset& d) {
       for (std::size_t i = 0; i < count; ++i) {
         AIGS_ASSIGN_OR_RETURN(
             const SessionId id,
-            OpenIdleAtPrefix(*engine, "greedy", d.hierarchy, target, kDepth));
+            OpenAtPrefix(*engine, "greedy", d.hierarchy, target, kDepth));
         if (id == kInvalidSession) {
           return Status::Internal("bench target finished before depth 4");
         }
@@ -1711,7 +1645,7 @@ Status DurabilityRecoveryThroughput(SuiteContext& ctx, const Dataset& d) {
 
     Engine engine;
     AIGS_RETURN_NOT_OK(
-        PublishLifecycleEpoch(engine, d, d.real_distribution));
+        PublishEpoch(engine, d.hierarchy, d.real_distribution, {"greedy"}));
     DurabilityOptions dopts;
     dopts.dir = dir.path();
     dopts.sync = sync;
@@ -1731,17 +1665,9 @@ Status DurabilityRecoveryThroughput(SuiteContext& ctx, const Dataset& d) {
                                    static_cast<double>(count) * 1000.0 /
                                    millis))
                              : "-"});
-    if (ctx.results != nullptr) {
-      ScenarioResult row;
-      row.spec.label = "durability/recovery/" + std::to_string(count);
-      row.spec.dataset = d.name;
-      row.spec.policy = "greedy";
-      row.spec.service = true;
-      row.policy_name = "greedy";
-      row.nodes = d.hierarchy.NumNodes();
-      row.wall_ms = millis;
-      ctx.results->push_back(row);
-    }
+    ctx.perf.push_back({"durability", "recovery/" + std::to_string(count),
+                        "ms", millis, "service",
+                        {d.name, d.hierarchy.NumNodes()}});
   }
   std::printf("[recovery throughput: %s, sessions parked at depth %zu, "
               "checkpoint + WAL-tail replay]\n%s\n",
@@ -1769,10 +1695,10 @@ Status DurabilityBehaviorIdentity(SuiteContext& ctx, const Dataset& d) {
     const NodeId target = sampler.Sample(rng);
     AIGS_ASSIGN_OR_RETURN(
         const SessionId a,
-        OpenIdleAtPrefix(*plain, "greedy", d.hierarchy, target, kDepth));
+        OpenAtPrefix(*plain, "greedy", d.hierarchy, target, kDepth));
     AIGS_ASSIGN_OR_RETURN(
         const SessionId b,
-        OpenIdleAtPrefix(*durable, "greedy", d.hierarchy, target, kDepth));
+        OpenAtPrefix(*durable, "greedy", d.hierarchy, target, kDepth));
     if ((a == kInvalidSession) != (b == kInvalidSession)) {
       return Status::Internal("durable engine diverged on session length");
     }
@@ -1809,22 +1735,6 @@ Status SuiteDurability(SuiteContext& ctx) {
 
 // ---- network: wire front end, shard router, loadgen SLOs (PR 8) -----------
 
-/// True when the binary runs under ASan or TSan — latency SLO gates are
-/// meaningless with every allocation and syscall instrumented.
-constexpr bool SanitizedBuild() {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  return true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return true;
-#else
-  return false;
-#endif
-#else
-  return false;
-#endif
-}
-
 /// Every registry policy spec the hierarchy supports (mirrors
 /// test_epoch_migration.cc; the scripted policy gets a complete question
 /// order so it can finish any target).
@@ -1853,21 +1763,13 @@ std::vector<std::string> NetworkSpecsFor(const Hierarchy& h) {
   return specs;
 }
 
-Status PublishNetworkEpoch(Engine& engine, const Dataset& d) {
-  CatalogConfig config;
-  config.hierarchy = UnownedHierarchy(d.hierarchy);
-  config.distribution = d.real_distribution;
-  Rng rng(7);
-  config.cost_model = std::make_shared<const CostModel>(
-      CostModel::UniformRandom(d.hierarchy.NumNodes(), 1, 9, rng));
-  config.policy_specs = NetworkSpecsFor(d.hierarchy);
-  return engine.Publish(std::move(config)).status();
-}
-
 /// One engine with its TCP server, for in-process loopback measurements.
+/// It serves every registry policy, priced 1..9.
 struct NetBackend {
   explicit NetBackend(const Dataset& d) : server(engine, {}) {
-    AIGS_CHECK(PublishNetworkEpoch(engine, d).ok());
+    AIGS_CHECK(PublishEpoch(engine, d.hierarchy, d.real_distribution,
+                            NetworkSpecsFor(d.hierarchy), 9)
+                   .ok());
     AIGS_CHECK(server.Start().ok());
   }
   Engine engine;
@@ -1913,7 +1815,8 @@ StatusOr<std::pair<std::string, NodeId>> DriveSaveFinish(
 Status NetworkTranscriptIdentity(SuiteContext& ctx, const Dataset& d) {
   const std::size_t kTargets = ctx.smoke ? 2 : 6;
   Engine local;
-  AIGS_RETURN_NOT_OK(PublishNetworkEpoch(local, d));
+  AIGS_RETURN_NOT_OK(PublishEpoch(local, d.hierarchy, d.real_distribution,
+                                  NetworkSpecsFor(d.hierarchy), 9));
   NetBackend s0(d), s1(d), s2(d);
   net::ShardRouter router({s0.server.endpoint(), s1.server.endpoint(),
                            s2.server.endpoint()});
@@ -2002,28 +1905,18 @@ Status NetworkLoadgenSlo(SuiteContext& ctx, const Dataset& d) {
                       r.throughput_rps)),
                   FormatDouble(r.p50_us, 1), FormatDouble(r.p99_us, 1),
                   FormatWithCommas(r.sessions_completed)});
-    if (ctx.results != nullptr) {
-      // Wall-only synthetic rows: the metric lives in wall_ms (p50/p99 in
-      // milliseconds, throughput in kreq/s), which the baseline guard
-      // never compares.
-      const struct {
-        const char* metric;
-        double value;
-      } rows[] = {{"p50_ms", r.p50_us / 1000.0},
-                  {"p99_ms", r.p99_us / 1000.0},
-                  {"krps", r.throughput_rps / 1000.0}};
-      for (const auto& row : rows) {
-        ScenarioResult result;
-        result.spec.label = std::string("network/loadgen/") + name + "/" +
-                            row.metric;
-        result.spec.dataset = d.name;
-        result.spec.policy = "greedy";
-        result.spec.service = true;
-        result.policy_name = "greedy";
-        result.nodes = d.hierarchy.NumNodes();
-        result.wall_ms = row.value;
-        ctx.results->push_back(result);
-      }
+    const struct {
+      const char* metric;
+      const char* unit;
+      double value;
+    } rows[] = {{"p50_ms", "ms", r.p50_us / 1000.0},
+                {"p99_ms", "ms", r.p99_us / 1000.0},
+                {"krps", "krps", r.throughput_rps / 1000.0}};
+    for (const auto& row : rows) {
+      ctx.perf.push_back({"network",
+                          std::string("loadgen/") + name + "/" + row.metric,
+                          row.unit, row.value, "net",
+                          {d.name, d.hierarchy.NumNodes()}});
     }
   };
   add("single", one);
@@ -2032,38 +1925,22 @@ Status NetworkLoadgenSlo(SuiteContext& ctx, const Dataset& d) {
               "open/ask/answer/close sessions, greedy on %s]\n%s\n",
               kConnections, d.name.c_str(), table.ToString().c_str());
 
-#ifdef NDEBUG
-  constexpr bool kOptimized = true;
-#else
-  constexpr bool kOptimized = false;
-#endif
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (!kOptimized || SanitizedBuild() || cores < 4) {
-    std::printf("network SLO gates skipped (%s build, %u core(s)): the "
-                "targets assume an optimized binary and >=4 cores so the "
-                "loadgen does not timeshare with the servers\n\n",
-                !kOptimized ? "debug"
-                            : (SanitizedBuild() ? "sanitized" : "release"),
-                cores);
-    return Status::OK();
-  }
-  if (one.throughput_rps < 100'000.0) {
-    return Status::Internal(
-        "network SLO violated: single-server throughput " +
-        FormatDouble(one.throughput_rps, 0) + " req/s is under 100k");
-  }
-  if (one.p99_us > 1000.0) {
-    return Status::Internal("network SLO violated: single-server p99 " +
-                            FormatDouble(one.p99_us, 1) +
-                            "us exceeds 1ms at 64 connections");
-  }
-  if (three.throughput_rps < 2.0 * one.throughput_rps) {
-    return Status::Internal(
-        "network SLO violated: 3-shard aggregate " +
-        FormatDouble(three.throughput_rps, 0) + " req/s is under 2x the "
-        "single-server " + FormatDouble(one.throughput_rps, 0) + " req/s");
-  }
-  std::printf("single server >=100k req/s, p99 <=1ms, 3-shard >=2x: OK\n\n");
+  // The targets assume >= 4 cores, so the loadgen does not timeshare with
+  // the servers.
+  TimingGate gate(ctx, "network", {.min_cores = 4});
+  gate.FailIf(one.throughput_rps < 100'000.0,
+              "network SLO violated: single-server throughput " +
+                  FormatDouble(one.throughput_rps, 0) +
+                  " req/s is under 100k");
+  gate.FailIf(one.p99_us > 1000.0, "network SLO violated: single-server p99 " +
+                                       FormatDouble(one.p99_us, 1) +
+                                       "us exceeds 1ms at 64 connections");
+  gate.FailIf(three.throughput_rps < 2.0 * one.throughput_rps,
+              "network SLO violated: 3-shard aggregate " +
+                  FormatDouble(three.throughput_rps, 0) +
+                  " req/s is under 2x the single-server " +
+                  FormatDouble(one.throughput_rps, 0) + " req/s");
+  gate.Finish("single server >=100k req/s, p99 <=1ms, 3-shard >=2x");
   return Status::OK();
 }
 
@@ -2098,24 +1975,6 @@ double PeakRssMib() {
   return 0;
 }
 
-void PushWallRow(SuiteContext& ctx, const std::string& label,
-                 const std::string& dataset, std::size_t nodes,
-                 double value) {
-  if (ctx.results == nullptr) {
-    return;
-  }
-  // Wall-only synthetic row: the metric lives in wall_ms, which the
-  // baseline guard never compares.
-  ScenarioResult row;
-  row.spec.label = label;
-  row.spec.dataset = dataset;
-  row.spec.policy = "greedy";
-  row.policy_name = "greedy";
-  row.nodes = nodes;
-  row.wall_ms = value;
-  ctx.results->push_back(row);
-}
-
 /// Per-Ask latency through real Engine sessions (greedy policy): opens
 /// `sessions` searches against targets drawn from `dist`, times every Ask,
 /// verifies each search finds its target, returns the p50/p99 in ms.
@@ -2130,11 +1989,7 @@ StatusOr<AskLatency> MeasureAskLatency(const Hierarchy& h,
                                        std::size_t sessions,
                                        std::uint64_t seed) {
   Engine engine;
-  CatalogConfig config;
-  config.hierarchy = UnownedHierarchy(h);
-  config.distribution = dist;
-  config.policy_specs = {"greedy"};
-  AIGS_RETURN_NOT_OK(engine.Publish(std::move(config)).status());
+  AIGS_RETURN_NOT_OK(PublishEpoch(engine, h, dist, {"greedy"}));
 
   const AliasTable sampler(dist);
   Rng rng(seed);
@@ -2160,30 +2015,10 @@ StatusOr<AskLatency> MeasureAskLatency(const Hierarchy& h,
     AIGS_RETURN_NOT_OK(engine.Close(id));
   }
   AskLatency r;
-  r.p50_ms = NearestRankMs(op_ms, 0.50);
-  r.p99_ms = NearestRankMs(op_ms, 0.99);
+  r.p50_ms = NearestRank(op_ms, 0.50);
+  r.p99_ms = NearestRank(op_ms, 0.99);
   r.asks = op_ms.size();
   return r;
-}
-
-/// Publishes one epoch carrying every registry policy plus the
-/// storage-pinned naive-greedy spec for `pinned_backend` (closure on dense
-/// rows, compressed on compressed rows) and the bfs rescan baseline. The
-/// cost model is seeded identically on every call so catalogs built from
-/// the same graph get bit-identical fingerprints — Save blobs stay
-/// comparable across storages.
-Status PublishIdentityEpoch(Engine& engine, const Dataset& d,
-                            const std::string& pinned_backend) {
-  CatalogConfig config;
-  config.hierarchy = UnownedHierarchy(d.hierarchy);
-  config.distribution = d.real_distribution;
-  Rng rng(7);
-  config.cost_model = std::make_shared<const CostModel>(
-      CostModel::UniformRandom(d.hierarchy.NumNodes(), 1, 9, rng));
-  config.policy_specs = NetworkSpecsFor(d.hierarchy);
-  config.policy_specs.push_back("greedy_naive:backend=bfs");
-  config.policy_specs.push_back("greedy_naive:backend=" + pinned_backend);
-  return engine.Publish(std::move(config)).status();
 }
 
 /// Removes the `policy <spec>` line from a Save blob so transcripts of the
@@ -2223,14 +2058,24 @@ Status BigcatalogCompare(SuiteContext& ctx) {
   // rows; the pinned backends additionally match after normalizing the
   // policy line their specs differ in. Guarded suite-internally.
   {
+    std::vector<std::string> specs = NetworkSpecsFor(dense->hierarchy);
+    specs.push_back("greedy_naive:backend=bfs");
+    // Each engine also serves the naive-greedy spec pinned to its storage
+    // (closure on dense rows, compressed on compressed rows); both draw the
+    // same prices, so Save blobs stay comparable across storages.
+    const auto publish = [&specs](Engine& engine, const Dataset& d,
+                                  const std::string& pinned_backend) {
+      std::vector<std::string> served = specs;
+      served.push_back("greedy_naive:backend=" + pinned_backend);
+      return PublishEpoch(engine, d.hierarchy, d.real_distribution,
+                          std::move(served), 9);
+    };
     Engine e_dense, e_comp;
-    AIGS_RETURN_NOT_OK(PublishIdentityEpoch(e_dense, *dense, "closure"));
-    AIGS_RETURN_NOT_OK(PublishIdentityEpoch(e_comp, *comp, "compressed"));
+    AIGS_RETURN_NOT_OK(publish(e_dense, *dense, "closure"));
+    AIGS_RETURN_NOT_OK(publish(e_comp, *comp, "compressed"));
     const std::size_t kTargets = ctx.smoke ? 2 : 4;
     const AliasTable sampler(dense->real_distribution);
     Rng rng(2718);
-    std::vector<std::string> specs = NetworkSpecsFor(dense->hierarchy);
-    specs.push_back("greedy_naive:backend=bfs");
     std::size_t compared = 0;
     for (const std::string& spec : specs) {
       for (std::size_t i = 0; i < kTargets; ++i) {
@@ -2387,41 +2232,33 @@ Status BigcatalogCompare(SuiteContext& ctx) {
                                    static_cast<double>(n), 1),
                   FormatDouble(b.lat->p50_ms * 1000.0, 2),
                   FormatDouble(b.lat->p99_ms * 1000.0, 2)});
-    const std::string prefix = std::string("bigcatalog/compare/") + b.name;
-    PushWallRow(ctx, prefix + "/build_ms", "imagenet", n, b.build_ms);
-    PushWallRow(ctx, prefix + "/index_mb", "imagenet", n, b.mb);
-    PushWallRow(ctx, prefix + "/bytes_per_row", "imagenet", n,
-                b.mb * 1024.0 * 1024.0 / static_cast<double>(n));
-    PushWallRow(ctx, prefix + "/ask_p50_ms", "imagenet", n, b.lat->p50_ms);
+    const auto record = [&](const char* metric, const char* unit,
+                            double value, const char* layer) {
+      ctx.perf.push_back({"bigcatalog",
+                          std::string("compare/") + b.name + "/" + metric,
+                          unit, value, layer, {"imagenet", n}});
+    };
+    record("build_ms", "ms", b.build_ms, "graph");
+    record("index_mb", "MB", b.mb, "graph");
+    record("bytes_per_row", "bytes",
+           b.mb * 1024.0 * 1024.0 / static_cast<double>(n), "graph");
+    record("ask_p50_ms", "ms", b.lat->p50_ms, "service");
   }
   std::printf("[closure backends at %s nodes: greedy Engine sessions, "
               "%zu searches per backend]\n%s\n",
               FormatWithCommas(n).c_str(), kSessions,
               table.ToString().c_str());
 
-#ifdef NDEBUG
-  constexpr bool kOptimized = true;
-#else
-  constexpr bool kOptimized = false;
-#endif
-  if (!kOptimized || SanitizedBuild() || ctx.smoke) {
-    std::printf("compressed p50 gate skipped (%s): the 3x target is "
-                "defined for an optimized binary at the full 28k-node "
-                "DAG\n\n",
-                ctx.smoke ? "smoke scale"
-                          : (SanitizedBuild() ? "sanitized build"
-                                              : "debug build"));
-    return Status::OK();
-  }
-  if (comp_lat.p50_ms > 3.0 * dense_lat.p50_ms + 0.005) {
-    return Status::Internal(
-        "bigcatalog SLO violated: compressed Ask p50 (" +
-        FormatDouble(comp_lat.p50_ms * 1000.0, 1) + "us) exceeds 3x the "
-        "dense closure p50 (" + FormatDouble(dense_lat.p50_ms * 1000.0, 1) +
-        "us) + 5us slack at " + FormatWithCommas(n) + " nodes");
-  }
-  std::printf("compressed Ask p50 within 3x of dense closure (+5us slack) "
-              "at %s nodes: OK\n\n", FormatWithCommas(n).c_str());
+  // The 3x target is defined at the full 28k-node DAG.
+  TimingGate gate(ctx, "bigcatalog_compare", {.full_scale = true});
+  gate.FailIf(comp_lat.p50_ms > 3.0 * dense_lat.p50_ms + 0.005,
+              "bigcatalog SLO violated: compressed Ask p50 (" +
+                  FormatDouble(comp_lat.p50_ms * 1000.0, 1) +
+                  "us) exceeds 3x the dense closure p50 (" +
+                  FormatDouble(dense_lat.p50_ms * 1000.0, 1) +
+                  "us) + 5us slack at " + FormatWithCommas(n) + " nodes");
+  gate.Finish("compressed Ask p50 within 3x of dense closure (+5us slack) "
+              "at " + FormatWithCommas(n) + " nodes");
   return Status::OK();
 }
 
@@ -2529,13 +2366,17 @@ Status BigcatalogMillion(SuiteContext& ctx) {
       FormatDouble(lat.p99_ms * 1000.0, 1).c_str(),
       FormatDouble(PeakRssMib(), 0).c_str());
 
-  PushWallRow(ctx, "bigcatalog/million/build_ms", "bigdag", n, build_ms);
-  PushWallRow(ctx, "bigcatalog/million/index_mb", "bigdag", n, index_mb);
-  PushWallRow(ctx, "bigcatalog/million/bytes_per_row", "bigdag", n,
-              static_cast<double>(index_bytes) / static_cast<double>(n));
-  PushWallRow(ctx, "bigcatalog/million/ask_p50_ms", "bigdag", n, lat.p50_ms);
-  PushWallRow(ctx, "bigcatalog/million/peak_rss_mb", "bigdag", n,
-              PeakRssMib());
+  const auto record = [&](const char* metric, const char* unit,
+                          double value, const char* layer) {
+    ctx.perf.push_back({"bigcatalog", std::string("million/") + metric, unit,
+                        value, layer, {"bigdag", n}});
+  };
+  record("build_ms", "ms", build_ms, "graph");
+  record("index_mb", "MB", index_mb, "graph");
+  record("bytes_per_row", "bytes",
+         static_cast<double>(index_bytes) / static_cast<double>(n), "graph");
+  record("ask_p50_ms", "ms", lat.p50_ms, "service");
+  record("peak_rss_mb", "MB", PeakRssMib(), "graph");
 
   // Per-session heap is deterministic enough to gate on every unsanitized
   // build (sanitizer allocators do not report through mallinfo2): a DAG
@@ -2545,10 +2386,9 @@ Status BigcatalogMillion(SuiteContext& ctx) {
   std::printf("  greedy session heap: %s B after 1 answer, %s B after 10\n",
               FormatDouble(session_heap.one_answer, 0).c_str(),
               FormatDouble(session_heap.ten_answers, 0).c_str());
-  PushWallRow(ctx, "bigcatalog/million/session_bytes/1_answer", "bigdag", n,
-              session_heap.one_answer);
-  PushWallRow(ctx, "bigcatalog/million/session_bytes/10_answers", "bigdag", n,
-              session_heap.ten_answers);
+  record("session_bytes/1_answer", "bytes", session_heap.one_answer, "core");
+  record("session_bytes/10_answers", "bytes", session_heap.ten_answers,
+         "core");
   if (!SanitizedBuild()) {
     constexpr double kSessionBytes = 1024;
     if (session_heap.one_answer > kSessionBytes ||
@@ -2575,22 +2415,12 @@ Status BigcatalogMillion(SuiteContext& ctx) {
   std::printf("compressed index <= 10%% of the dense closure footprint: "
               "OK\n");
 
-#ifdef NDEBUG
-  constexpr bool kOptimized = true;
-#else
-  constexpr bool kOptimized = false;
-#endif
-  if (!kOptimized || SanitizedBuild() || ctx.smoke) {
-    std::printf("million-node Ask p50 gate skipped (debug/sanitized/smoke "
-                "build)\n\n");
-    return Status::OK();
-  }
-  if (lat.p50_ms > 50.0) {
-    return Status::Internal(
-        "bigcatalog SLO violated: Ask p50 " + FormatDouble(lat.p50_ms, 2) +
-        "ms exceeds 50ms at " + FormatWithCommas(n) + " nodes");
-  }
-  std::printf("million-node Ask p50 <= 50ms: OK\n\n");
+  TimingGate gate(ctx, "bigcatalog_million", {.full_scale = true});
+  gate.FailIf(lat.p50_ms > 50.0, "bigcatalog SLO violated: Ask p50 " +
+                                     FormatDouble(lat.p50_ms, 2) +
+                                     "ms exceeds 50ms at " +
+                                     FormatWithCommas(n) + " nodes");
+  gate.Finish("million-node Ask p50 <= 50ms");
   return Status::OK();
 }
 
@@ -2654,7 +2484,7 @@ double TimePerCallNs(std::size_t iters, Body&& body) {
 }
 
 /// (a) Per-kernel scalar-vs-dispatched micro rows. Every kernel × data
-/// shape gets a pair of wall-only rows; the fused count+weight kernel on
+/// shape gets a pair of perf records; the fused count+weight kernel on
 /// dense rows carries the PR-10 speedup gate. Both tables compute on the
 /// same arrays, and their results are cross-checked — a dispatch bug fails
 /// the suite before it can mis-benchmark.
@@ -2789,42 +2619,25 @@ Status KernelsMicro(SuiteContext& ctx) {
                     FormatDouble(row.scalar_ns, 0),
                     FormatDouble(row.simd_ns, 0),
                     FormatDouble(row.scalar_ns / row.simd_ns, 2) + "x"});
-      const std::string prefix = std::string("kernels/micro/") + row.kernel +
-                                 "/" + KernelFillName(fill);
-      PushWallRow(ctx, prefix + "/scalar_ns", "synthetic", kWords,
-                  row.scalar_ns);
-      PushWallRow(ctx, prefix + "/dispatched_ns", "synthetic", kWords,
-                  row.simd_ns);
+      const std::string prefix = std::string("micro/") + row.kernel + "/" +
+                                 KernelFillName(fill);
+      ctx.perf.push_back({"kernels", prefix + "/scalar_ns", "ns",
+                          row.scalar_ns, "util.kernels",
+                          {"synthetic", kWords}});
+      ctx.perf.push_back({"kernels", prefix + "/dispatched_ns", "ns",
+                          row.simd_ns, "util.kernels",
+                          {"synthetic", kWords}});
     }
   }
   std::printf("%s\n", table.ToString().c_str());
 
-#ifdef NDEBUG
-  constexpr bool kOptimized = true;
-#else
-  constexpr bool kOptimized = false;
-#endif
-  const bool simd_active =
-      kernels::CpuSupports(kernels::Mode::kAvx2) &&
-      kernels::ActiveMode() != kernels::Mode::kScalar;
-  if (!kOptimized || SanitizedBuild() || !simd_active) {
-    std::printf("kernel speedup gate skipped (%s): the 1.5x fused-kernel "
-                "target assumes an optimized, unsanitized binary with a "
-                "vector implementation active\n\n",
-                !kOptimized ? "debug build"
-                            : (SanitizedBuild() ? "sanitized build"
-                                                : "scalar kernels active"));
-    return Status::OK();
-  }
-  if (fused_dense_speedup < 1.5) {
-    return Status::Internal(
-        "kernel SLO violated: fused masked_count_weight on dense rows is " +
-        FormatDouble(fused_dense_speedup, 2) + "x scalar, below the 1.5x "
-        "target");
-  }
-  std::printf("fused masked_count_weight >=1.5x scalar on dense rows (%sx): "
-              "OK\n\n",
-              FormatDouble(fused_dense_speedup, 2).c_str());
+  TimingGate gate(ctx, "kernel_speedup", {.simd = true});
+  gate.FailIf(fused_dense_speedup < 1.5,
+              "kernel SLO violated: fused masked_count_weight on dense rows "
+              "is " + FormatDouble(fused_dense_speedup, 2) +
+                  "x scalar, below the 1.5x target");
+  gate.Finish("fused masked_count_weight >=1.5x scalar on dense rows (" +
+              FormatDouble(fused_dense_speedup, 2) + "x)");
   return Status::OK();
 }
 
@@ -2855,12 +2668,14 @@ Status KernelsParallelBuild(SuiteContext& ctx) {
         "build at " + FormatWithCommas(n) + " nodes");
   }
   const double speedup = serial_ms / parallel_ms;
-  PushWallRow(ctx, "kernels/build/compressed/serial_ms", "synthetic", n,
-              serial_ms);
-  PushWallRow(ctx, "kernels/build/compressed/parallel8_ms", "synthetic", n,
-              parallel_ms);
-  PushWallRow(ctx, "kernels/build/compressed/speedup", "synthetic", n,
-              speedup);
+  const auto record = [&ctx](const char* metric, const char* unit,
+                             double value, std::size_t nodes) {
+    ctx.perf.push_back({"kernels", std::string("build/") + metric, unit,
+                        value, "graph", {"synthetic", nodes}});
+  };
+  record("compressed/serial_ms", "ms", serial_ms, n);
+  record("compressed/parallel8_ms", "ms", parallel_ms, n);
+  record("compressed/speedup", "x", speedup, n);
 
   // Dense pair at a size where O(n²/8) rows are still cheap.
   const std::size_t dense_n = 8'192;
@@ -2885,10 +2700,8 @@ Status KernelsParallelBuild(SuiteContext& ctx) {
           " differs from the serial build");
     }
   }
-  PushWallRow(ctx, "kernels/build/dense/serial_ms", "synthetic", dense_n,
-              dense_serial_ms);
-  PushWallRow(ctx, "kernels/build/dense/parallel8_ms", "synthetic", dense_n,
-              dense_parallel_ms);
+  record("dense/serial_ms", "ms", dense_serial_ms, dense_n);
+  record("dense/parallel8_ms", "ms", dense_parallel_ms, dense_n);
 
   AsciiTable table({"Build", "#nodes", "Serial ms", "8-thread ms",
                     "Speedup"});
@@ -2903,34 +2716,15 @@ Status KernelsParallelBuild(SuiteContext& ctx) {
               "verified]\n%s\n",
               table.ToString().c_str());
 
-#ifdef NDEBUG
-  constexpr bool kOptimized = true;
-#else
-  constexpr bool kOptimized = false;
-#endif
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (!kOptimized || SanitizedBuild() || ctx.smoke || cores < 8) {
-    std::printf("parallel build gate skipped (%s, %u core(s)): the 3x "
-                "target is defined for an optimized binary at 1M nodes on "
-                ">=8 cores\n\n",
-                !kOptimized ? "debug build"
-                            : (SanitizedBuild()
-                                   ? "sanitized build"
-                                   : (ctx.smoke ? "smoke scale"
-                                                : "too few cores")),
-                cores);
-    return Status::OK();
-  }
-  if (speedup < 3.0) {
-    return Status::Internal(
-        "parallel build SLO violated: 8-thread compressed build is " +
-        FormatDouble(speedup, 2) + "x serial at " + FormatWithCommas(n) +
-        " nodes, below the 3x target");
-  }
-  std::printf("8-thread compressed build >=3x serial at %s nodes (%sx): "
-              "OK\n\n",
-              FormatWithCommas(n).c_str(),
-              FormatDouble(speedup, 2).c_str());
+  // The 3x target is defined at 1M nodes on >= 8 cores.
+  TimingGate gate(ctx, "parallel_build", {.full_scale = true, .min_cores = 8});
+  gate.FailIf(speedup < 3.0,
+              "parallel build SLO violated: 8-thread compressed build is " +
+                  FormatDouble(speedup, 2) + "x serial at " +
+                  FormatWithCommas(n) + " nodes, below the 3x target");
+  gate.Finish("8-thread compressed build >=3x serial at " +
+              FormatWithCommas(n) + " nodes (" + FormatDouble(speedup, 2) +
+              "x)");
   return Status::OK();
 }
 
@@ -2943,62 +2737,45 @@ Status SuiteKernels(SuiteContext& ctx) {
   return Status::OK();
 }
 
-// ---- registry --------------------------------------------------------------
-
-std::function<int(SuiteContext&)> Wrap(Status (*fn)(SuiteContext&)) {
-  return [fn](SuiteContext& ctx) {
-    const Status status = fn(ctx);
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    return 0;
-  };
-}
-
 }  // namespace
+
+// ---- registry --------------------------------------------------------------
 
 const std::vector<Suite>& AllSuites() {
   static const std::vector<Suite>* suites = new std::vector<Suite>{
-      {"table2", "dataset statistics (Table II)", Wrap(SuiteTable2)},
-      {"table3", "cost under the real distribution (Table III)",
-       Wrap(SuiteTable3)},
-      {"table4", "probability settings on Amazon (Table IV)",
-       Wrap(SuiteTable4)},
-      {"table5", "probability settings on ImageNet (Table V)",
-       Wrap(SuiteTable5)},
-      {"fig4", "online distribution learning (Fig. 4)", Wrap(SuiteFig4)},
-      {"fig5", "cost vs Zipf parameter (Fig. 5)", Wrap(SuiteFig5)},
-      {"fig6", "running time by target depth (Fig. 6)", Wrap(SuiteFig6)},
-      {"caigs", "cost-sensitive greedy under priced questions",
-       Wrap(SuiteCaigs)},
-      {"batched", "batched questions trade-off (§III-E)",
-       Wrap(SuiteBatched)},
-      {"noise", "noisy answers and majority voting", Wrap(SuiteNoise)},
-      {"worstcase", "average vs worst-case objectives", Wrap(SuiteWorstcase)},
-      {"scaling", "cost growth with hierarchy size", Wrap(SuiteScaling)},
-      {"ablation", "greedy design-choice ablations (§IV)",
-       Wrap(SuiteAblation)},
+      {"table2", "dataset statistics (Table II)", SuiteTable2},
+      {"table3", "cost under the real distribution (Table III)", SuiteTable3},
+      {"table4", "probability settings on Amazon (Table IV)", SuiteTable4},
+      {"table5", "probability settings on ImageNet (Table V)", SuiteTable5},
+      {"fig4", "online distribution learning (Fig. 4)", SuiteFig4},
+      {"fig5", "cost vs Zipf parameter (Fig. 5)", SuiteFig5},
+      {"fig6", "running time by target depth (Fig. 6)", SuiteFig6},
+      {"caigs", "cost-sensitive greedy under priced questions", SuiteCaigs},
+      {"batched", "batched questions trade-off (§III-E)", SuiteBatched},
+      {"noise", "noisy answers and majority voting", SuiteNoise},
+      {"worstcase", "average vs worst-case objectives", SuiteWorstcase},
+      {"scaling", "cost growth with hierarchy size", SuiteScaling},
+      {"ablation", "greedy design-choice ablations (§IV)", SuiteAblation},
       {"approx_ratio", "empirical approximation ratios vs the DP optimum",
-       Wrap(SuiteApproxRatio)},
-      {"example2", "vehicle hierarchy worked example", Wrap(SuiteExample2)},
+       SuiteApproxRatio},
+      {"example2", "vehicle hierarchy worked example", SuiteExample2},
       {"plan_cache", "warm-prefix plan-cache throughput (PR 4)",
-       Wrap(SuitePlanCache)},
+       SuitePlanCache},
       {"epoch_lifecycle",
        "cross-epoch migration, warm publish, rolling plan keys (PR 5)",
-       Wrap(SuiteEpochLifecycle)},
+       SuiteEpochLifecycle},
       {"durability",
        "durable session store: WAL overhead, crash recovery (PR 7)",
-       Wrap(SuiteDurability)},
+       SuiteDurability},
       {"network",
        "TCP front end: wire identity, loadgen SLOs, shard scaling (PR 8)",
-       Wrap(SuiteNetwork)},
+       SuiteNetwork},
       {"bigcatalog",
        "compressed reachability: storage identity, million-node gate (PR 9)",
-       Wrap(SuiteBigcatalog)},
+       SuiteBigcatalog},
       {"kernels",
        "SIMD kernel dispatch micro rows, parallel closure builds (PR 10)",
-       Wrap(SuiteKernels)},
+       SuiteKernels},
   };
   return *suites;
 }
