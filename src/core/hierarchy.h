@@ -5,6 +5,7 @@
 #ifndef AIGS_CORE_HIERARCHY_H_
 #define AIGS_CORE_HIERARCHY_H_
 
+#include <cstdint>
 #include <memory>
 
 #include "graph/digraph.h"
@@ -45,12 +46,18 @@ class Hierarchy {
   int Height() const { return graph_->Height(); }
   std::size_t MaxOutDegree() const { return graph_->MaxOutDegree(); }
 
+  /// FNV-1a digest of (n, m, root, every parent→child edge), computed once
+  /// at Build(). Epochs that share the hierarchy share this value;
+  /// CatalogSnapshot continues it over the weights.
+  std::uint64_t fingerprint() const { return fingerprint_; }
+
  private:
   Hierarchy() = default;
 
   std::unique_ptr<Digraph> graph_;
   std::unique_ptr<Tree> tree_;  // null for non-tree DAGs
   std::unique_ptr<ReachabilityIndex> reach_;
+  std::uint64_t fingerprint_ = 0;
 };
 
 }  // namespace aigs

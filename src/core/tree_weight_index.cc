@@ -7,7 +7,6 @@ namespace aigs {
 TreeWeightBase::TreeWeightBase(const Tree& tree,
                                std::vector<Weight> node_weights)
     : tree_(&tree) {
-  subtree_size_ = ComputeSubtreeSizes(tree);
   SetWeights(std::move(node_weights));
 }
 

@@ -1,10 +1,10 @@
 // Subtree-weight bookkeeping for GreedyTree (Algorithm 4/5).
 //
 // TreeWeightBase holds, for a (tree, node-weight) pair, the subtree weights
-// p̃(v) = p(T_v) and subtree sizes |T_v| that Algorithm 5 (SetWeightDFS)
-// computes. It is shared by all search sessions and can be updated
-// incrementally when the distribution changes one node at a time (online
-// learning — O(depth) per labeled object).
+// p̃(v) = p(T_v) that Algorithm 5 (SetWeightDFS) computes; subtree sizes
+// |T_v| come from the Tree's Euler intervals. It is shared by all search
+// sessions and can be updated incrementally when the distribution changes
+// one node at a time (online learning — O(depth) per labeled object).
 //
 // TreeSearchState is one session's view: current root plus a small delta
 // overlay recording the subtrees removed by no-answers (Algorithm 4 lines
@@ -36,8 +36,10 @@ class TreeWeightBase {
   /// p̃(v) = Σ_{x ∈ T_v} w(x).
   Weight SubtreeWeight(NodeId v) const { return subtree_weight_[v]; }
 
-  /// |T_v| (structure-only; never changes).
-  std::uint32_t SubtreeSize(NodeId v) const { return subtree_size_[v]; }
+  /// |T_v| (structure-only; read from the tree, never recomputed).
+  std::uint32_t SubtreeSize(NodeId v) const {
+    return static_cast<std::uint32_t>(tree_->SubtreeSize(v));
+  }
 
   /// Σ w over the whole tree.
   Weight Total() const { return subtree_weight_[tree_->root()]; }
@@ -54,7 +56,6 @@ class TreeWeightBase {
   const Tree* tree_;
   std::vector<Weight> node_weight_;
   std::vector<Weight> subtree_weight_;
-  std::vector<std::uint32_t> subtree_size_;
 };
 
 /// Per-search overlay implementing the candidate tree of Algorithm 4.

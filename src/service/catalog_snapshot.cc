@@ -1,45 +1,40 @@
 #include "service/catalog_snapshot.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "core/policy_registry.h"
+#include "util/fnv.h"
 #include "util/thread_pool.h"
 
 namespace aigs {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
-
-void FnvMix(std::uint64_t& h, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (value >> (byte * 8)) & 0xFF;
-    h *= kFnvPrime;
+// FNV-1a over a zero byte is h *= P, so a weight's high zero bytes fold
+// into one multiply by P^k. kPrimePowers[k] = P^k.
+constexpr std::array<std::uint64_t, 9> kPrimePowers = [] {
+  std::array<std::uint64_t, 9> powers{};
+  powers[0] = 1;
+  for (std::size_t k = 1; k < powers.size(); ++k) {
+    powers[k] = powers[k - 1] * kFnvPrime;
   }
-}
+  return powers;
+}();
 
-std::uint64_t HierarchyFingerprint(const Hierarchy& hierarchy) {
-  std::uint64_t h = kFnvOffset;
-  FnvMix(h, hierarchy.NumNodes());
-  FnvMix(h, hierarchy.NumEdges());
-  FnvMix(h, hierarchy.root());
-  for (NodeId u = 0; u < hierarchy.NumNodes(); ++u) {
-    for (const NodeId v : hierarchy.graph().Children(u)) {
-      FnvMix(h, (static_cast<std::uint64_t>(u) << 32) | v);
-    }
-  }
-  return h;
-}
-
-/// Continues the hierarchy digest over the weights — the combined value is
-/// byte-for-byte the pre-split fingerprint, so existing saved blobs keep
-/// resuming.
+/// Continues the hierarchy digest over the weights — byte for byte the
+/// FnvMix of every weight, so existing saved blobs keep resuming.
 std::uint64_t Fingerprint(std::uint64_t hierarchy_digest,
                           const Distribution& dist) {
   std::uint64_t h = hierarchy_digest;
-  for (NodeId v = 0; v < dist.size(); ++v) {
-    FnvMix(h, dist.WeightOf(v));
+  for (const Weight w : dist.weights()) {
+    // __builtin_clzll(0) is undefined: a zero weight is eight zero bytes.
+    const int bytes = w == 0 ? 0 : 8 - __builtin_clzll(w) / 8;
+    for (int byte = 0; byte < bytes; ++byte) {
+      h ^= (w >> (byte * 8)) & 0xFF;
+      h *= kFnvPrime;
+    }
+    h *= kPrimePowers[8 - bytes];
   }
   return h;
 }
@@ -69,7 +64,7 @@ StatusOr<std::shared_ptr<const CatalogSnapshot>> CatalogSnapshot::Build(
   snapshot->config_ = std::move(config);
   snapshot->epoch_ = epoch;
   snapshot->hierarchy_fingerprint_ =
-      HierarchyFingerprint(*snapshot->config_.hierarchy);
+      snapshot->config_.hierarchy->fingerprint();
   snapshot->fingerprint_ = Fingerprint(snapshot->hierarchy_fingerprint_,
                                        snapshot->config_.distribution);
 

@@ -666,7 +666,11 @@ Query Engine::ResolvePending(ServiceSession& session) {
   Query query;
   PlanCache* cache = session.plan_cache.get();
   if (cache != nullptr &&
-      session.transcript.size() <= cache->options().max_depth) {
+      session.transcript.size() > cache->options().max_depth) {
+    cache->CountBypass();  // deep prefixes skip the trie; the planner runs
+    cache = nullptr;
+  }
+  if (cache != nullptr) {
     if (std::optional<Query> hit = cache->Lookup(session.plan_prefix)) {
       // Warm path: the question was planned once by some session at this
       // (policy, transcript) prefix — or pre-seeded at publish time — so

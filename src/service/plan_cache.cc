@@ -242,6 +242,7 @@ PlanCacheStats PlanCache::stats() const {
   PlanCacheStats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
+  stats.bypassed = bypassed_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.inserts = inserts_.load(std::memory_order_relaxed);
   stats.seeded_inserts = seeded_inserts_.load(std::memory_order_relaxed);

@@ -94,6 +94,9 @@ struct PlanCacheOptions {
 struct PlanCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  /// Asks past max_depth: they skip the trie and run the planner, and
+  /// count as neither hits nor misses (hit_rate() is over lookups only).
+  std::uint64_t bypassed = 0;
   std::uint64_t evictions = 0;
   std::uint64_t inserts = 0;
   /// Entries created by warm-publish seeding (subset of inserts) and hits
@@ -147,6 +150,9 @@ class PlanCache {
   /// it (determinism makes the value identical by construction). `seeded`
   /// marks warm-publish entries for the stats split.
   void Insert(PlanPrefixId id, const Query& query, bool seeded = false);
+
+  /// Counts one Ask that bypassed the trie past max_depth.
+  void CountBypass() { bypassed_.fetch_add(1, std::memory_order_relaxed); }
 
   /// The up-to-`max_prefixes` most-hit memoized prefixes, hottest first
   /// (ties toward shallower prefixes — cheaper to replay and their plans
@@ -226,6 +232,7 @@ class PlanCache {
 
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> bypassed_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> inserts_{0};
   std::atomic<std::uint64_t> seeded_inserts_{0};

@@ -347,6 +347,11 @@ TEST(PlanCache, DepthCapBypassesTheTrieOnDeepPrefixes) {
   const PlanCacheStats stats = engine.plan_cache()->stats();
   EXPECT_LE(stats.inserts, 2u);
   EXPECT_LE(stats.entries, 2u);
+  // One Ask per question plus the final kDone one, at transcript depths
+  // 0..asked.size(); those deeper than 1 bypass the trie, uncounted by
+  // hit_rate().
+  EXPECT_EQ(stats.bypassed, asked.size() - 1);
+  EXPECT_EQ(stats.hits + stats.misses + stats.bypassed, asked.size() + 1);
 }
 
 // ---- (7) PlanCache unit behavior (interned-trie API) -----------------------

@@ -4,7 +4,8 @@
 //  (2) the SessionManager under concurrent traffic and TTL eviction;
 //  (3) Status rejections (never aborts) for mismatched answer kinds;
 //  (4) snapshot epochs: hot swap keeps live sessions on their epoch;
-//  (5) the Evaluator's engine-driven path matches the in-process path.
+//  (5) the Evaluator's engine-driven path matches the in-process path;
+//  (6) catalog digests are pinned to fixed values.
 #include "service/engine.h"
 
 #include <gtest/gtest.h>
@@ -256,6 +257,63 @@ TEST(EngineAnswers, MismatchedAnswerKindIsRejectedNotFatal) {
             StatusCode::kNotFound);
   EXPECT_EQ(engine.Open("no_such_policy").status().code(),
             StatusCode::kNotFound);
+}
+
+// ---- (6) digest stability --------------------------------------------------
+
+// Saved blobs, WAL step records and checkpoints bind to these digests, so
+// their values are part of the on-disk format: a faster digest must produce
+// the same bytes. The weights cover every leading-zero-byte count (8 for 0,
+// 7 for 1 and 0xFF, 6 for 0x100, 4 for 0xFFFFFFFF, 0 for an 8-byte value).
+struct GoldenDigest {
+  std::uint64_t hierarchy;
+  std::uint64_t catalog;
+};
+
+GoldenDigest DigestOf(Digraph g, std::vector<Weight> weights) {
+  auto hierarchy = std::make_shared<const Hierarchy>(
+      testing::MustBuild(std::move(g)));
+  CatalogConfig config;
+  config.hierarchy = hierarchy;
+  config.distribution = testing::MustDist(std::move(weights));
+  config.policy_specs = {"top_down"};
+  auto snapshot = CatalogSnapshot::Build(std::move(config), 1);
+  AIGS_CHECK(snapshot.ok());
+  return {(*snapshot)->hierarchy_fingerprint(), (*snapshot)->fingerprint()};
+}
+
+std::vector<Weight> GoldenWeights() {
+  return {0, 1, 0xFF, 0x100, 0xFFFFFFFFULL, (1ULL << 56) | 0xAB, 7};
+}
+
+TEST(CatalogDigest, TreeDigestIsStable) {
+  Digraph g;
+  g.AddNodes(7);
+  g.AddEdge(0, 1);
+  g.AddEdge(0, 2);
+  g.AddEdge(1, 3);
+  g.AddEdge(1, 4);
+  g.AddEdge(2, 5);
+  g.AddEdge(2, 6);
+  const GoldenDigest d = DigestOf(std::move(g), GoldenWeights());
+  EXPECT_EQ(d.hierarchy, 0x7E65D105DD752D83ULL);
+  EXPECT_EQ(d.catalog, 0xEE8D11309E97D1C5ULL);
+}
+
+TEST(CatalogDigest, DagDigestIsStable) {
+  Digraph g;
+  g.AddNodes(7);
+  g.AddEdge(0, 1);
+  g.AddEdge(0, 2);
+  g.AddEdge(1, 3);
+  g.AddEdge(2, 3);
+  g.AddEdge(1, 4);
+  g.AddEdge(3, 5);
+  g.AddEdge(4, 6);
+  g.AddEdge(5, 6);
+  const GoldenDigest d = DigestOf(std::move(g), GoldenWeights());
+  EXPECT_EQ(d.hierarchy, 0xA6BE8C1DFC934B68ULL);
+  EXPECT_EQ(d.catalog, 0x067B8F750B1DC3DEULL);
 }
 
 // ---- (4) snapshot epochs ---------------------------------------------------

@@ -695,7 +695,7 @@ int CmdServe(const std::string& hierarchy_path,
         for (const auto& [epoch, c] : s.plan_cache_by_epoch) {
           std::printf("plan trie (epoch %llu): %llu hit(s) — %llu seeded / "
                       "%llu organic — %llu miss(es), %llu eviction(s), "
-                      "hit rate %.1f%%\n",
+                      "hit rate %.1f%%, %llu bypassed past max_depth\n",
                       static_cast<unsigned long long>(epoch),
                       static_cast<unsigned long long>(c.hits),
                       static_cast<unsigned long long>(c.seeded_hits),
@@ -703,7 +703,8 @@ int CmdServe(const std::string& hierarchy_path,
                                                       c.seeded_hits),
                       static_cast<unsigned long long>(c.misses),
                       static_cast<unsigned long long>(c.evictions),
-                      100.0 * c.hit_rate());
+                      100.0 * c.hit_rate(),
+                      static_cast<unsigned long long>(c.bypassed));
           std::printf("  %llu insert(s) — %llu warm-seeded / %llu organic "
                       "— %zu entr%s, ~%zu KiB resident\n",
                       static_cast<unsigned long long>(c.inserts),
