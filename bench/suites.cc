@@ -1130,27 +1130,18 @@ Status SuitePlanCache(SuiteContext& ctx) {
   return Status::OK();
 }
 
-// ---- epoch_lifecycle: migration + warm publish + rolling keys (PR 5) -------
-
-StatusOr<std::unique_ptr<Engine>> MakeLifecycleEngine(bool warm,
-                                                      bool sweep) {
-  EngineOptions options;
-  options.plan_cache.warm_publish = warm;
-  options.migration.sweep_on_publish = sweep;
-  return std::make_unique<Engine>(options);
-}
+// ---- epoch_lifecycle: migration + rolling keys ----------------------------
 
 /// (a) Migration sweep throughput: idle sessions parked at shared prefixes
 /// on epoch 1, weights shift, the publish's drain replays everyone onto
-/// epoch 2. Timed from Publish to a settled drain, warm seeding off, so
-/// the time is the snapshot build plus the sweep.
+/// epoch 2. Timed from Publish to a settled drain, so the time is the
+/// snapshot build plus the sweep.
 Status LifecycleMigrationThroughput(SuiteContext& ctx, const Dataset& d) {
   const Hierarchy& h = d.hierarchy;
   const std::size_t kSessions = ctx.smoke ? 128 : 1024;
   const std::size_t kDepth = 4;
 
-  AIGS_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
-                        MakeLifecycleEngine(/*warm=*/false, /*sweep=*/true));
+  const auto engine = std::make_unique<Engine>();
   AIGS_RETURN_NOT_OK(
       PublishEpoch(*engine, h, d.real_distribution, {"greedy"}));
   const AliasTable sampler(d.real_distribution);
@@ -1192,97 +1183,6 @@ Status LifecycleMigrationThroughput(SuiteContext& ctx, const Dataset& d) {
   return Status::OK();
 }
 
-/// (b) Post-publish cold start: first-asks hit rate with warm seeding
-/// on vs off. The first fresh session after a publish is the pure
-/// cold-start probe; the aggregate adds the sessions that follow it.
-Status LifecycleWarmPublish(SuiteContext& ctx, const Dataset& d) {
-  const Hierarchy& h = d.hierarchy;
-  const std::size_t kHeatSessions = ctx.smoke ? 24 : 128;
-  const std::size_t kFreshSessions = ctx.smoke ? 16 : 64;
-  const std::size_t kDepth = 4;
-
-  AsciiTable table({"Warm publish", "Seeded entries", "First-session hits",
-                    "First-session rate", "Fresh hit rate"});
-  double rates[2] = {0, 0};
-  for (const bool warm : {false, true}) {
-    AIGS_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
-                          MakeLifecycleEngine(warm, /*sweep=*/false));
-    AIGS_RETURN_NOT_OK(
-        PublishEpoch(*engine, h, d.real_distribution, {"greedy"}));
-    const AliasTable sampler(d.real_distribution);
-    Rng rng(7007);
-    for (std::size_t i = 0; i < kHeatSessions; ++i) {
-      AIGS_ASSIGN_OR_RETURN(const SessionId id,
-                            OpenAtPrefix(*engine, "greedy", h,
-                                         sampler.Sample(rng), kDepth));
-      if (id != kInvalidSession) {
-        AIGS_RETURN_NOT_OK(engine->Close(id));
-      }
-    }
-    // Publish the same weights again: without warm seeding the new trie
-    // starts empty and the first post-publish asks all run the planner.
-    AIGS_RETURN_NOT_OK(
-        PublishEpoch(*engine, h, d.real_distribution, {"greedy"}));
-    engine->WaitForDrain();  // the warm seed runs on the drain worker
-    const std::shared_ptr<PlanCache> trie = engine->plan_cache();
-    const PlanCacheStats seeded = trie->stats();
-
-    Rng fresh_rng(7007);  // same target stream as the heat phase
-    PlanCacheStats before_first = trie->stats();
-    AIGS_ASSIGN_OR_RETURN(
-        const SessionId first,
-        OpenAtPrefix(*engine, "greedy", h, sampler.Sample(fresh_rng),
-                     kDepth));
-    const PlanCacheStats after_first = trie->stats();
-    if (first != kInvalidSession) {
-      AIGS_RETURN_NOT_OK(engine->Close(first));
-    }
-    for (std::size_t i = 1; i < kFreshSessions; ++i) {
-      AIGS_ASSIGN_OR_RETURN(
-          const SessionId id,
-          OpenAtPrefix(*engine, "greedy", h, sampler.Sample(fresh_rng),
-                       kDepth));
-      if (id != kInvalidSession) {
-        AIGS_RETURN_NOT_OK(engine->Close(id));
-      }
-    }
-    const PlanCacheStats done = trie->stats();
-    const std::uint64_t first_hits = after_first.hits - before_first.hits;
-    const std::uint64_t first_asks = first_hits + after_first.misses -
-                                     before_first.misses;
-    const std::uint64_t fresh_hits = done.hits - before_first.hits;
-    const std::uint64_t fresh_asks = fresh_hits + done.misses -
-                                     before_first.misses;
-    const double rate = fresh_asks == 0
-                            ? 0.0
-                            : static_cast<double>(fresh_hits) /
-                                  static_cast<double>(fresh_asks);
-    rates[warm ? 1 : 0] = rate;
-    table.AddRow({warm ? "on" : "off",
-                  std::to_string(seeded.seeded_inserts),
-                  std::to_string(first_hits) + "/" +
-                      std::to_string(first_asks),
-                  first_asks > 0
-                      ? FormatDouble(100.0 * static_cast<double>(first_hits) /
-                                         static_cast<double>(first_asks),
-                                     1) + "%"
-                      : "-",
-                  FormatDouble(100.0 * rate, 1) + "%"});
-  }
-  std::printf("[post-publish cold start: %s, %zu heat + %zu fresh "
-              "sessions at depth %zu]\n%s\n",
-              d.name.c_str(), kHeatSessions, kFreshSessions, kDepth,
-              table.ToString().c_str());
-  if (rates[1] <= rates[0]) {
-    return Status::Internal(
-        "warm publish did not raise the post-publish hit rate (" +
-        FormatDouble(rates[1], 4) + " vs " + FormatDouble(rates[0], 4) +
-        ")");
-  }
-  std::printf("warm=on first-asks hit rate strictly above warm=off: OK\n\n");
-  return Status::OK();
-}
-
 /// Faithful re-creation of the PR-4 string-key cache stripe (lock + flat
 /// hash map + LRU splice), so the micro row below isolates the one thing
 /// that changed: hashing an O(depth) concatenated key vs one interned id.
@@ -1315,7 +1215,7 @@ struct LegacyStringStripe {
   }
 };
 
-/// (c) Rolling plan keys: per-Ask key cost of the interned PlanPrefixId
+/// (b) Rolling plan keys: per-Ask key cost of the interned PlanPrefixId
 /// trie vs the PR-4 O(depth) string key, across transcript depths.
 Status LifecycleRollingKeys(SuiteContext& ctx) {
   const std::size_t kLookups = ctx.smoke ? 200'000 : 2'000'000;
@@ -1370,7 +1270,7 @@ Status LifecycleRollingKeys(SuiteContext& ctx) {
   return Status::OK();
 }
 
-/// (d) The publish-latency SLO: Publish is the snapshot build plus
+/// (c) The publish-latency SLO: Publish is the snapshot build plus
 /// an O(1) swap, the sweep runs on the drain worker — so its latency must
 /// stay FLAT as the live-session count grows. A timing gate, never a
 /// baseline value.
@@ -1440,7 +1340,7 @@ Status LifecyclePublishLatency(SuiteContext& ctx, const Dataset& d) {
 
 Status SuiteEpochLifecycle(SuiteContext& ctx) {
   PrintConfig(ctx,
-              "epoch_lifecycle: cross-epoch migration, warm publish, "
+              "epoch_lifecycle: cross-epoch migration, "
               "O(1) rolling plan keys, publish-latency SLO (PR 5/6)");
   const double scale = std::min(ctx.scale, ctx.smoke ? 0.02 : 0.1);
   AIGS_ASSIGN_OR_RETURN(const Dataset* amazon,
@@ -1449,7 +1349,6 @@ Status SuiteEpochLifecycle(SuiteContext& ctx) {
                         ctx.cache->Get("imagenet", scale));
   AIGS_RETURN_NOT_OK(LifecycleMigrationThroughput(ctx, *amazon));
   AIGS_RETURN_NOT_OK(LifecycleMigrationThroughput(ctx, *imagenet));
-  AIGS_RETURN_NOT_OK(LifecycleWarmPublish(ctx, *amazon));
   AIGS_RETURN_NOT_OK(LifecycleRollingKeys(ctx));
   AIGS_RETURN_NOT_OK(LifecyclePublishLatency(ctx, *amazon));
 
@@ -2769,7 +2668,7 @@ const std::vector<Suite>& AllSuites() {
       {"plan_cache", "warm-prefix plan-cache throughput (PR 4)",
        SuitePlanCache},
       {"epoch_lifecycle",
-       "cross-epoch migration, warm publish, rolling plan keys (PR 5)",
+       "cross-epoch migration, rolling plan keys",
        SuiteEpochLifecycle},
       {"durability",
        "durable session store: WAL overhead, crash recovery (PR 7)",

@@ -46,7 +46,7 @@ StatusOr<OnlineSeries> RunOnlineLearning(const Hierarchy& hierarchy,
     config.distribution = counts.ToDistribution();
     config.policy_specs = {policy_spec};
     AIGS_RETURN_NOT_OK(engine.Publish(std::move(config)).status());
-    // Every epoch starts from a settled drain (the warm seed finished), so
+    // Every epoch starts from a settled drain (its sweep finished), so
     // each block's searches see the same trie whatever the scheduling.
     engine.WaitForDrain();
     ++epochs_published;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -10,11 +11,11 @@
 
 namespace aigs {
 
-/// The drain pipeline, the one place warm-seeding and the idle-session
-/// sweep run: one coordinator thread consuming publish (and `warm`) jobs
-/// plus a small private pool that migrates sessions within a batch. Both
-/// start with the first job, so an engine that never republishes runs no
-/// drain threads (nor does a process forked before its first republish).
+/// The drain pipeline, the one place the idle-session sweep runs: one
+/// coordinator thread consuming publish jobs plus a small private pool
+/// that migrates sessions within a batch. Both start with the first job,
+/// so an engine that never republishes runs no drain threads (nor does a
+/// process forked before its first republish).
 ///
 /// Cancellation model: Enqueue bumps a generation; the coordinator checks
 /// it between batches (and per tick inside a batch pass), so a newer
@@ -48,21 +49,15 @@ class EpochDrainWorker {
   }
 
   /// Replaces any pending job (the newest publish wins) and cancels the
-  /// running one at its next batch boundary. A sweep owed by either job
-  /// carries over, so a warm-only job never cancels a publish's sweep.
-  void Enqueue(std::shared_ptr<PlanCache> cache,
-               std::shared_ptr<PlanCache> warm_source, bool sweep) {
+  /// running one at its next batch boundary.
+  void Enqueue() {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      sweep = sweep || (has_pending_ && pending_.sweep) ||
-              (active_ && active_sweep_);
-      pending_ = Job{std::move(cache), std::move(warm_source), sweep};
       has_pending_ = true;
       generation_.fetch_add(1, std::memory_order_relaxed);
       drains_.fetch_add(1, std::memory_order_relaxed);
       if (!coordinator_.joinable()) {
-        pool_ = std::make_unique<ThreadPool>(
-            std::max<std::size_t>(1, options_.max_concurrency));
+        pool_.emplace(std::max<std::size_t>(1, options_.max_concurrency));
         coordinator_ = std::thread([this] { Loop(); });
       }
     }
@@ -82,8 +77,6 @@ class EpochDrainWorker {
         static_cast<DrainPhase>(phase_.load(std::memory_order_relaxed));
     stats.target_epoch = target_epoch_.load(std::memory_order_relaxed);
     stats.sessions_remaining = remaining_.load(std::memory_order_relaxed);
-    stats.warm_total = warm_total_.load(std::memory_order_relaxed);
-    stats.warm_seeded = warm_seeded_.load(std::memory_order_relaxed);
     stats.batches = batches_.load(std::memory_order_relaxed);
     stats.last_batch = last_batch_.load(std::memory_order_relaxed);
     stats.migrated = migrated_.load(std::memory_order_relaxed);
@@ -99,14 +92,6 @@ class EpochDrainWorker {
   }
 
  private:
-  struct Job {
-    /// The freshly published trie and its warm-seed source; either may be
-    /// null (cache disabled or warm-publish off).
-    std::shared_ptr<PlanCache> cache;
-    std::shared_ptr<PlanCache> warm_source;
-    bool sweep = false;
-  };
-
   bool Superseded(std::uint64_t generation) const {
     return stop_.load(std::memory_order_relaxed) ||
            generation_.load(std::memory_order_relaxed) != generation;
@@ -114,7 +99,6 @@ class EpochDrainWorker {
 
   void Loop() {
     for (;;) {
-      Job job;
       std::uint64_t generation = 0;
       {
         std::unique_lock<std::mutex> lock(mu_);
@@ -122,13 +106,11 @@ class EpochDrainWorker {
         if (shutdown_) {
           return;  // abandon pending work; old epochs just stay pinned
         }
-        job = std::move(pending_);
         has_pending_ = false;
         active_ = true;
-        active_sweep_ = job.sweep;
         generation = generation_.load(std::memory_order_relaxed);
       }
-      RunJob(job, generation);
+      RunJob(generation);
       phase_.store(static_cast<std::uint8_t>(DrainPhase::kIdle),
                    std::memory_order_relaxed);
       {
@@ -139,68 +121,25 @@ class EpochDrainWorker {
     }
   }
 
-  void RunJob(const Job& job, std::uint64_t generation) {
-    // Re-read the engine's CURRENT epoch state: publishers enqueue under
-    // the engine's publish mutex after their swap, so this is the newest
-    // epoch even when the Enqueue that carried `job` raced another publish.
-    std::shared_ptr<const CatalogSnapshot> snapshot;
-    std::shared_ptr<PlanCache> current_cache;
-    engine_->CurrentEpochState(&snapshot, &current_cache);
+  void RunJob(std::uint64_t generation) {
+    // Re-read the engine's CURRENT snapshot: publishers enqueue under the
+    // engine's publish mutex after their swap, so this is the newest epoch
+    // even when the Enqueue that woke the worker raced another publish.
+    const std::shared_ptr<const CatalogSnapshot> snapshot =
+        engine_->snapshot();
     if (snapshot == nullptr) {
       return;
     }
     target_epoch_.store(snapshot->epoch(), std::memory_order_relaxed);
-
-    // WARM phase. Only when the job's trie is still the live one — a
-    // superseded publish's trie has already been retired, and seeding it
-    // would be wasted work.
-    if (job.cache != nullptr && job.cache == current_cache &&
-        job.warm_source != nullptr) {
-      if (!Warm(job, *snapshot, generation)) {
-        rolled_forward_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-
-    // SWEEP phase.
-    if (job.sweep) {
-      if (!Sweep(*snapshot, generation)) {
-        rolled_forward_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
+    if (!Sweep(*snapshot, generation)) {
+      rolled_forward_.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
     completed_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Warm phase body; false when superseded mid-way.
-  bool Warm(const Job& job, const CatalogSnapshot& snapshot,
-            std::uint64_t generation) {
-    phase_.store(static_cast<std::uint8_t>(DrainPhase::kWarming),
-                 std::memory_order_relaxed);
-    const std::vector<HotPrefix> prefixes = job.warm_source->HottestPrefixes(
-        engine_->options_.plan_cache.warm_budget);
-    warm_total_.store(prefixes.size(), std::memory_order_relaxed);
-    warm_seeded_.store(0, std::memory_order_relaxed);
-    std::size_t done = 0;
-    while (done < prefixes.size()) {
-      if (Superseded(generation)) {
-        return false;
-      }
-      const std::size_t end =
-          std::min(done + options_.batch_size, prefixes.size());
-      std::size_t seeded = 0;
-      for (; done < end; ++done) {
-        seeded += engine_->WarmSeedPrefix(snapshot, *job.cache,
-                                          prefixes[done])
-                      ? 1
-                      : 0;
-      }
-      warm_seeded_.fetch_add(seeded, std::memory_order_relaxed);
-    }
-    return true;
-  }
-
-  /// Sweep phase body; false when superseded mid-way.
+  /// Migrates every idle session off older epochs; false when superseded
+  /// mid-way.
   bool Sweep(const CatalogSnapshot& snapshot, std::uint64_t generation) {
     using Clock = std::chrono::steady_clock;
     phase_.store(static_cast<std::uint8_t>(DrainPhase::kSweeping),
@@ -304,15 +243,13 @@ class EpochDrainWorker {
 
   Engine* engine_;
   DrainOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  // set with coordinator_
+  std::optional<ThreadPool> pool_;  // set with coordinator_
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
-  Job pending_;
   bool has_pending_ = false;
   bool active_ = false;
-  bool active_sweep_ = false;  // the running job's sweep flag
   bool shutdown_ = false;
 
   std::atomic<std::uint64_t> generation_{0};
@@ -322,8 +259,6 @@ class EpochDrainWorker {
       static_cast<std::uint8_t>(DrainPhase::kIdle)};
   std::atomic<std::uint64_t> target_epoch_{0};
   std::atomic<std::size_t> remaining_{0};
-  std::atomic<std::size_t> warm_total_{0};
-  std::atomic<std::size_t> warm_seeded_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::size_t> last_batch_{0};
   std::atomic<std::uint64_t> migrated_{0};
@@ -343,8 +278,6 @@ const char* DrainPhaseName(DrainPhase phase) {
   switch (phase) {
     case DrainPhase::kIdle:
       return "idle";
-    case DrainPhase::kWarming:
-      return "warming";
     case DrainPhase::kSweeping:
       return "sweeping";
   }
@@ -488,35 +421,24 @@ StatusOr<std::shared_ptr<const CatalogSnapshot>> Engine::Publish(
   AIGS_ASSIGN_OR_RETURN(
       snapshot, CatalogSnapshot::Build(std::move(config), next_epoch_));
   ++next_epoch_;
-  // A fresh epoch gets a fresh plan trie; the old one is retained once
-  // (the warm-seed source and the `warm` REPL command) and then retires
-  // with its snapshot's refcount — a publish invalidates every stale plan
-  // without any flush or version check on the hot path.
+  // A fresh epoch gets a fresh plan trie; the old one retires with its
+  // snapshot's refcount — a publish invalidates every stale plan without
+  // any flush or version check on the hot path. The old pair is freed
+  // after the swap lock drops.
   if (options_.plan_cache.enabled) {
     cache = std::make_shared<PlanCache>(options_.plan_cache);
   }
-  // The pair two epochs back leaves the retention slot here but is freed
-  // after the swap lock drops.
-  std::shared_ptr<const CatalogSnapshot> retired_snapshot;
-  std::shared_ptr<PlanCache> retired_cache;
   {
     std::lock_guard<std::mutex> lock(snapshot_mutex_);
     old_snapshot = std::exchange(snapshot_, snapshot);
     old_cache = std::exchange(plan_cache_, cache);
-    retired_snapshot = std::exchange(previous_snapshot_, old_snapshot);
-    retired_cache = std::exchange(previous_plan_cache_, old_cache);
   }
-  // Both follow-ups go to the drain worker — Publish stays O(1) in the
+  // The sweep goes to the drain worker — Publish stays O(1) in the
   // session count — and a drain already in flight rolls forward to this
   // epoch. Enqueued before the publisher lock drops, so jobs reach the
   // worker in epoch order.
-  const bool warm = cache != nullptr && old_cache != nullptr &&
-                    options_.plan_cache.warm_publish;
-  const bool sweep =
-      options_.migration.sweep_on_publish && old_snapshot != nullptr;
-  if (warm || sweep) {
-    drain_->Enqueue(warm ? cache : nullptr, warm ? old_cache : nullptr,
-                    sweep);
+  if (options_.migration.sweep_on_publish && old_snapshot != nullptr) {
+    drain_->Enqueue();
   }
   return snapshot;
 }
@@ -673,8 +595,8 @@ Query Engine::ResolvePending(ServiceSession& session) {
   if (cache != nullptr) {
     if (std::optional<Query> hit = cache->Lookup(session.plan_prefix)) {
       // Warm path: the question was planned once by some session at this
-      // (policy, transcript) prefix — or pre-seeded at publish time — so
-      // Ask skips the planner here. (The candidate-state policies skip it
+      // (policy, transcript) prefix — by an Ask or a transcript replay —
+      // so Ask skips the planner here. (The candidate-state policies skip it
       // entirely; the phase-automata baselines still settle their derived
       // state inside the applier — their planners are O(children) cheap,
       // and the cache exists for the expensive middle-point planners.)
@@ -1037,61 +959,6 @@ StatusOr<MigrateResult> Engine::MigrateImpl(SessionId id) {
   return MigrateLocked(id, *session);
 }
 
-bool Engine::WarmSeedPrefix(const CatalogSnapshot& snap, PlanCache& target,
-                            const HotPrefix& prefix) {
-  const std::size_t num_nodes = snap.hierarchy().NumNodes();
-  const auto policy = snap.PolicyFor(prefix.policy_spec);
-  if (!policy.ok()) {
-    return false;  // the new epoch no longer serves this spec
-  }
-  std::unique_ptr<SearchSession> search = (*policy)->NewSession();
-  PlanPrefixId at = target.RootFor(prefix.policy_spec);
-  for (const std::string& line : prefix.step_lines) {
-    auto step = SessionCodec::ParseStepLine(line);
-    if (!step.ok() || !ValidateStepShape(*step, num_nodes, 0).ok()) {
-      return false;  // e.g. a node the new snapshot no longer has
-    }
-    const Query planned = search->Next();
-    target.Insert(at, planned, /*seeded=*/true);
-    if (QuestionMatchesStep(planned, *step)) {
-      if (!ApplyMatchedStep(*search, *step).ok()) {
-        return false;
-      }
-    } else if (!search->TryApplyObserved(*step).ok()) {
-      // The prefix no longer folds onto the new snapshot; the plans
-      // inserted so far are still exact, only the tail is abandoned.
-      return false;
-    }
-    at = target.Advance(at, line);
-  }
-  // Only fully replayed prefixes count toward the report.
-  target.Insert(at, search->Next(), /*seeded=*/true);
-  return true;
-}
-
-StatusOr<std::size_t> Engine::Warm() {
-  {
-    // Publish writes the epoch state under this lock too, so the reads
-    // need no snapshot lock, and no publish slips between them and the
-    // enqueue.
-    std::lock_guard<std::mutex> publish_lock(publish_mutex_);
-    if (snapshot_ == nullptr) {
-      return Status::FailedPrecondition(
-          "no catalog snapshot published yet — call Publish first");
-    }
-    if (plan_cache_ == nullptr) {
-      return Status::FailedPrecondition("the plan cache is disabled");
-    }
-    if (previous_plan_cache_ == nullptr) {
-      return Status::FailedPrecondition(
-          "no previous epoch's trie to seed from (publish at least twice)");
-    }
-    drain_->Enqueue(plan_cache_, previous_plan_cache_, /*sweep=*/false);
-  }
-  drain_->Wait();
-  return drain_->Snapshot().warm_seeded;
-}
-
 Status Engine::CloseImpl(SessionId id) {
   AIGS_RETURN_NOT_OK(sessions_.Erase(id));
   if (DurableStore* store = durable_.load(std::memory_order_acquire)) {
@@ -1263,15 +1130,10 @@ std::shared_ptr<PlanCache> Engine::plan_cache() const {
 EngineStats Engine::Stats() const {
   EngineStats stats;
   std::shared_ptr<PlanCache> cache;
-  std::shared_ptr<PlanCache> previous_cache;
-  std::uint64_t previous_epoch = 0;
   {
     std::lock_guard<std::mutex> lock(snapshot_mutex_);
     stats.epoch = snapshot_ == nullptr ? 0 : snapshot_->epoch();
     cache = plan_cache_;
-    previous_cache = previous_plan_cache_;
-    previous_epoch =
-        previous_snapshot_ == nullptr ? 0 : previous_snapshot_->epoch();
   }
   stats.sessions_by_epoch = sessions_.SessionsByEpoch();
   for (const auto& [epoch, count] : stats.sessions_by_epoch) {
@@ -1281,10 +1143,6 @@ EngineStats Engine::Stats() const {
     stats.plan_cache_enabled = true;
     stats.plan_cache = cache->stats();
     stats.plan_cache_by_epoch.emplace(stats.epoch, stats.plan_cache);
-  }
-  if (previous_cache != nullptr) {
-    stats.plan_cache_by_epoch.emplace(previous_epoch,
-                                      previous_cache->stats());
   }
   stats.sessions_migrated =
       sessions_migrated_.load(std::memory_order_relaxed);

@@ -12,22 +12,18 @@
 //     blob   = engine.Save(id)                // suspend across restarts
 //     id2    = engine.Resume(blob)            // exact replay-based restore
 //
-// Epoch lifecycle. A publish does not strand the old epoch:
+// Epoch lifecycle. A publish does not strand the old epoch: the MIGRATE
+// SWEEP moves idle sessions still bound to older epochs onto the new
+// snapshot by divergence-tolerant transcript replay. Steps the new planner
+// reproduces replay exactly; steps it would not have asked are folded in
+// through the policies' observed-step appliers
+// (SearchSession::TryApplyObserved) and flagged, bounded by a configurable
+// divergence budget. Sessions that cannot migrate (budget exceeded, client
+// mid-question) stay safely on their old epoch. Each replay also inserts
+// the questions it re-plans into the new epoch's plan trie, so the sweep
+// refills the trie the swap started empty.
 //
-//  * WARM SEED — before the fresh plan trie serves cold, the hottest
-//    prefixes of the outgoing trie are harvested and replayed against the
-//    new snapshot's planners, pre-seeding the new trie so the
-//    common-prefix Ask path stays a cache hit across the swap.
-//  * MIGRATE SWEEP — idle sessions still bound to older epochs are
-//    migrated onto the new snapshot by divergence-tolerant transcript
-//    replay: steps the new planner reproduces replay exactly; steps it
-//    would not have asked are folded in through the policies' observed-
-//    step appliers (SearchSession::TryApplyObserved) and flagged, bounded
-//    by a configurable divergence budget. Sessions that cannot migrate
-//    (budget exceeded, client mid-question) stay safely on their old
-//    epoch.
-//
-// Both run only on the engine's EpochDrainWorker. Publish builds the
+// The sweep runs only on the engine's EpochDrainWorker. Publish builds the
 // snapshot without blocking Open or Stats, swaps it in under a short lock,
 // and hands the follow-up to the worker, so the swap is O(1) in the session
 // count (the SLO the epoch_lifecycle bench guards). The drain proceeds in
@@ -103,11 +99,11 @@ struct MigrationOptions {
   bool sweep_on_publish = true;
 };
 
-/// Drain worker knobs (the publish→warm→sweep pipeline that runs after
-/// every Publish).
+/// Drain worker knobs (the idle-session sweep that runs after every
+/// Publish).
 struct DrainOptions {
-  /// Sessions migrated (or hot prefixes replayed) per batch; between
-  /// batches the worker checks for shutdown and newer publishes.
+  /// Sessions migrated per batch; between batches the worker checks for
+  /// shutdown and newer publishes.
   std::size_t batch_size = 256;
   /// Soft cap on continuous batch time per tick; when it elapses the
   /// worker yields before the next batch so a drain never monopolizes its
@@ -120,7 +116,6 @@ struct DrainOptions {
 /// Where the drain pipeline currently is.
 enum class DrainPhase : std::uint8_t {
   kIdle = 0,      ///< no drain in flight
-  kWarming = 1,   ///< replaying hot prefixes into the fresh plan trie
   kSweeping = 2,  ///< migrating idle old-epoch sessions in batches
 };
 
@@ -134,10 +129,6 @@ struct DrainStats {
   std::uint64_t target_epoch = 0;
   /// Old-epoch sessions the in-flight sweep still has to visit.
   std::size_t sessions_remaining = 0;
-  /// Warm-seed progress of the in-flight (or last) drain: prefixes
-  /// harvested and prefixes fully replayed so far.
-  std::size_t warm_total = 0;
-  std::size_t warm_seeded = 0;
   /// Cumulative counters across all drains.
   std::uint64_t batches = 0;       ///< sweep batches run
   std::size_t last_batch = 0;      ///< sessions visited by the last batch
@@ -154,10 +145,9 @@ struct DrainStats {
 
 struct EngineOptions {
   SessionManagerOptions sessions;
-  /// The per-epoch question-plan trie behind Ask (including the
-  /// warm-publish seeding knobs). Enabled by default: with every policy a
-  /// pure planner, cached and uncached engines emit bit-identical
-  /// transcripts, so the cache is purely a throughput knob.
+  /// The per-epoch question-plan trie behind Ask. Enabled by default:
+  /// with every policy a pure planner, cached and uncached engines emit
+  /// bit-identical transcripts, so the cache is purely a throughput knob.
   PlanCacheOptions plan_cache;
   MigrationOptions migration;
   DrainOptions drain;
@@ -232,9 +222,9 @@ struct EngineStats {
   /// Live sessions keyed by their current epoch (old epochs drain as their
   /// sessions finish or migrate after a hot swap).
   std::map<std::uint64_t, std::size_t> sessions_by_epoch;
-  /// Plan-trie counters per retained epoch: the current epoch's trie and —
-  /// while any warm-seed source is still held — the previous epoch's.
-  /// Each carries the seeded/organic hit split.
+  /// Plan-trie counters. The engine holds only the current epoch's trie,
+  /// so `plan_cache_by_epoch` has at most that one entry; it stays keyed
+  /// by epoch because servebench reads it that way.
   bool plan_cache_enabled = false;
   PlanCacheStats plan_cache;  // current epoch (zeros before first Publish)
   std::map<std::uint64_t, PlanCacheStats> plan_cache_by_epoch;
@@ -274,18 +264,18 @@ class Engine {
   /// Builds a snapshot from `config` at the next epoch and makes it
   /// current. The build holds only the publisher lock, so Open, Resume,
   /// Stats and snapshot() keep serving the old epoch meanwhile; the swap
-  /// itself is a short critical section. The follow-up work — warm-seeding
-  /// the new plan trie from the old epoch's hottest prefixes and migrating
-  /// idle sessions over — is handed to the drain worker, so the call is
-  /// O(1) in the session count past the snapshot build. A failed build
+  /// itself is a short critical section. The follow-up sweep, which
+  /// migrates idle sessions over and so refills the new plan trie, is
+  /// handed to the drain worker, so the call is O(1) in the session count
+  /// past the snapshot build. A failed build
   /// consumes no epoch. Existing busy sessions keep the snapshot they are
   /// on; traffic never pauses.
   StatusOr<std::shared_ptr<const CatalogSnapshot>> Publish(
       CatalogConfig config);
 
   /// Blocks until no drain job is pending or running. Callers that read
-  /// what a publish's drain produced (migrated sessions, seeded trie
-  /// entries) wait here first; a server never needs it.
+  /// what a publish's drain produced (migrated sessions, the trie entries
+  /// their replays inserted) wait here first; a server never needs it.
   void WaitForDrain();
 
   /// Progress of the drain pipeline.
@@ -353,13 +343,6 @@ class Engine {
   StatusOr<MigrateResult> Migrate(const std::string& serialized,
                                   SessionId proposed_id = 0);
 
-  /// Re-seeds the CURRENT epoch's trie from the previous epoch's hottest
-  /// prefixes (the publish-time warm path, callable on demand — the serve
-  /// REPL's `warm` command): runs a warm-only job on the drain worker and
-  /// waits for it. A sweep the job supersedes is carried over, not lost.
-  /// Returns the number of prefixes replayed.
-  StatusOr<std::size_t> Warm();
-
   /// Closes and discards a session.
   Status Close(SessionId id);
 
@@ -408,7 +391,7 @@ class Engine {
   std::shared_ptr<PlanCache> plan_cache() const;
 
   /// Operational counters: epoch, session counts (total and per epoch),
-  /// per-epoch plan-trie hit/miss/seeded numbers, migration totals.
+  /// current plan-trie hit/miss numbers, migration totals.
   EngineStats Stats() const;
 
  private:
@@ -508,25 +491,16 @@ class Engine {
   StatusOr<MigrateResult> MigrateLocked(SessionId id,
                                         ServiceSession& session);
 
-  /// Replays ONE hot prefix (the batch unit of the drain's warm phase).
-  /// True when the full prefix replayed onto `snap`'s planners.
-  bool WarmSeedPrefix(const CatalogSnapshot& snap, PlanCache& target,
-                      const HotPrefix& prefix);
-
-  /// Serializes publishers (and Warm's enqueue) so drain jobs reach the
-  /// worker in epoch order; never taken by session traffic.
+  /// Serializes publishers so drain jobs reach the worker in epoch order;
+  /// never taken by session traffic.
   std::mutex publish_mutex_;
   std::uint64_t next_epoch_ = 1;  // guarded by publish_mutex_
-  /// The current and previous (snapshot, trie) pairs below are written only
-  /// by Publish, holding both locks, and read under either one. Publish
-  /// holds `snapshot_mutex_` only for the swap, never across a build.
+  /// The current (snapshot, trie) pair, written only by Publish under
+  /// `snapshot_mutex_`. Publish holds it only for the swap, never across a
+  /// build.
   mutable std::mutex snapshot_mutex_;
   std::shared_ptr<const CatalogSnapshot> snapshot_;
   std::shared_ptr<PlanCache> plan_cache_;
-  /// The previous epoch's (snapshot, trie) pair, retained as the warm-seed
-  /// source until the next publish replaces it.
-  std::shared_ptr<const CatalogSnapshot> previous_snapshot_;
-  std::shared_ptr<PlanCache> previous_plan_cache_;
   EngineOptions options_;
   SessionManager sessions_;
 

@@ -1,8 +1,6 @@
 #include "service/plan_cache.h"
 
-#include <algorithm>
 #include <functional>
-#include <map>
 #include <utility>
 
 #include "util/common.h"
@@ -11,7 +9,7 @@ namespace aigs {
 namespace {
 
 /// Approximate resident size of one node: the edge string (stored twice —
-/// once in the node for export, once in the intern key), the query's
+/// once in the node for eviction, once in the intern key), the query's
 /// choice vector, and a flat allowance for the two map entries + LRU link.
 constexpr std::size_t kNodeOverhead = 160;
 
@@ -93,15 +91,11 @@ std::optional<Query> PlanCache::Lookup(PlanPrefixId id) {
     return std::nullopt;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  if (it->second.seeded) {
-    seeded_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  ++it->second.hits;
   stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru_it);
   return it->second.question;
 }
 
-void PlanCache::Insert(PlanPrefixId id, const Query& query, bool seeded) {
+void PlanCache::Insert(PlanPrefixId id, const Query& query) {
   if (id == kNoPlanPrefix) {
     return;
   }
@@ -121,14 +115,10 @@ void PlanCache::Insert(PlanPrefixId id, const Query& query, bool seeded) {
   }
   node.question = query;
   node.has_question = true;
-  node.seeded = seeded;
   stripe.bytes += QueryBytes(query);
   node.bytes += QueryBytes(query);
   stripe.lru.splice(stripe.lru.begin(), stripe.lru, node.lru_it);
   inserts_.fetch_add(1, std::memory_order_relaxed);
-  if (seeded) {
-    seeded_inserts_.fetch_add(1, std::memory_order_relaxed);
-  }
   EvictOver(stripe);
 }
 
@@ -154,90 +144,6 @@ void PlanCache::EvictOver(Stripe& stripe) {
   }
 }
 
-std::vector<HotPrefix> PlanCache::HottestPrefixes(
-    std::size_t max_prefixes) const {
-  if (max_prefixes == 0) {
-    return {};
-  }
-  // Snapshot every resident node (one stripe lock at a time), then rebuild
-  // chains outside any lock. Evictions between stripes can break a chain;
-  // those prefixes are simply skipped.
-  struct Snap {
-    PlanPrefixId parent;
-    std::string edge;
-    bool has_question;
-    std::uint64_t hits;
-  };
-  std::map<PlanPrefixId, Snap> nodes;
-  for (const Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    for (const auto& [id, node] : stripe.nodes) {
-      nodes.emplace(id, Snap{node.parent, node.edge, node.has_question,
-                             node.hits});
-    }
-  }
-
-  struct Candidate {
-    PlanPrefixId id;
-    std::uint64_t hits;
-    std::size_t depth;
-  };
-  std::vector<Candidate> candidates;
-  for (const auto& [id, snap] : nodes) {
-    if (!snap.has_question || snap.hits == 0) {
-      continue;
-    }
-    // Depth = chain length to a root; also validates reconstructability.
-    std::size_t depth = 0;
-    bool complete = true;
-    for (PlanPrefixId at = id; nodes.at(at).parent != kNoPlanPrefix;) {
-      const PlanPrefixId parent = nodes.at(at).parent;
-      if (nodes.find(parent) == nodes.end()) {
-        complete = false;
-        break;
-      }
-      at = parent;
-      ++depth;
-    }
-    if (complete) {
-      candidates.push_back({id, snap.hits, depth});
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.hits != b.hits) {
-                return a.hits > b.hits;
-              }
-              if (a.depth != b.depth) {
-                return a.depth < b.depth;
-              }
-              return a.id < b.id;
-            });
-  if (candidates.size() > max_prefixes) {
-    candidates.resize(max_prefixes);
-  }
-
-  std::vector<HotPrefix> out;
-  out.reserve(candidates.size());
-  for (const Candidate& c : candidates) {
-    HotPrefix prefix;
-    prefix.hits = c.hits;
-    std::vector<const std::string*> chain;
-    PlanPrefixId at = c.id;
-    while (nodes.at(at).parent != kNoPlanPrefix) {
-      chain.push_back(&nodes.at(at).edge);
-      at = nodes.at(at).parent;
-    }
-    prefix.policy_spec = nodes.at(at).edge;  // the root's edge is the spec
-    prefix.step_lines.reserve(chain.size());
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      prefix.step_lines.push_back(**it);
-    }
-    out.push_back(std::move(prefix));
-  }
-  return out;
-}
-
 PlanCacheStats PlanCache::stats() const {
   PlanCacheStats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
@@ -245,8 +151,6 @@ PlanCacheStats PlanCache::stats() const {
   stats.bypassed = bypassed_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.inserts = inserts_.load(std::memory_order_relaxed);
-  stats.seeded_inserts = seeded_inserts_.load(std::memory_order_relaxed);
-  stats.seeded_hits = seeded_hits_.load(std::memory_order_relaxed);
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mutex);
     stats.entries += stripe.nodes.size();

@@ -27,15 +27,12 @@
 // Lifecycle. An Engine creates one PlanCache per published CatalogSnapshot
 // and hands each session the cache of the epoch it opened on. An epoch
 // hot-swap stops handing out the old trie: it dies with its snapshot's
-// refcount as sessions drain or migrate off it. Before it does, its
-// hottest prefixes (per-node hit counts) are harvested and replayed
-// against the new snapshot's planners to pre-seed the fresh trie — the
-// warm-publish path that removes the post-publish cold start. By default
-// the replay runs on the engine's background drain worker in bounded
-// batches, concurrent with live Ask traffic on the same trie (every
-// method is thread-safe, so seeding and organic population interleave
-// freely). Seeded entries are flagged so Stats can split seeded from
-// organic hits.
+// refcount as sessions drain or migrate off it. The fresh trie fills only
+// as planner runs insert what they plan: Ask misses, and the transcript
+// replays of the drain worker's idle-session sweep, which re-plans every
+// prefix a migrated session has passed on the new snapshot. Both are
+// exact (Definition 6), and every method is thread-safe, so sweep replays
+// and live Asks interleave freely.
 //
 // Budgeting. Nodes live in lock stripes; a node's home stripe is chosen by
 // hashing (parent, edge), and its id encodes that stripe, so Advance,
@@ -81,16 +78,10 @@ struct PlanCacheOptions {
   /// Lock stripes. More stripes = less contention; the budget splits evenly
   /// across them.
   std::size_t num_stripes = 16;
-  /// Pre-seed a freshly published epoch's trie by replaying the previous
-  /// trie's hottest prefixes against the new snapshot's planners.
-  bool warm_publish = true;
-  /// Maximum prefixes replayed per warm-publish seeding pass.
-  std::size_t warm_budget = 256;
 };
 
-/// Monotonic counters (hits/misses/evictions/inserts, with the seeded
-/// split) plus a point-in-time size reading, surfaced through
-/// Engine::Stats and the serve REPL.
+/// Monotonic counters (hits/misses/evictions/inserts) plus a point-in-time
+/// size reading, surfaced through Engine::Stats and the serve REPL.
 struct PlanCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -99,10 +90,6 @@ struct PlanCacheStats {
   std::uint64_t bypassed = 0;
   std::uint64_t evictions = 0;
   std::uint64_t inserts = 0;
-  /// Entries created by warm-publish seeding (subset of inserts) and hits
-  /// they served (subset of hits). organic = total − seeded.
-  std::uint64_t seeded_inserts = 0;
-  std::uint64_t seeded_hits = 0;
   std::size_t entries = 0;
   std::size_t bytes = 0;
 
@@ -111,15 +98,6 @@ struct PlanCacheStats {
     return total == 0 ? 0.0
                       : static_cast<double>(hits) / static_cast<double>(total);
   }
-};
-
-/// One exported hot prefix: the policy spec plus the SessionCodec step
-/// lines from the trie root to the node, with its accumulated hit count.
-/// The warm-publish seeder replays these against a fresh snapshot.
-struct HotPrefix {
-  std::string policy_spec;
-  std::vector<std::string> step_lines;
-  std::uint64_t hits = 0;
 };
 
 /// Concurrent, lock-striped, budgeted, interned question-plan trie.
@@ -147,32 +125,24 @@ class PlanCache {
 
   /// Memoizes `query` at `id`, evicting LRU entries of the stripe while it
   /// is over its budget share. Re-inserting an existing id only refreshes
-  /// it (determinism makes the value identical by construction). `seeded`
-  /// marks warm-publish entries for the stats split.
-  void Insert(PlanPrefixId id, const Query& query, bool seeded = false);
+  /// it (determinism makes the value identical by construction).
+  void Insert(PlanPrefixId id, const Query& query);
 
   /// Counts one Ask that bypassed the trie past max_depth.
   void CountBypass() { bypassed_.fetch_add(1, std::memory_order_relaxed); }
-
-  /// The up-to-`max_prefixes` most-hit memoized prefixes, hottest first
-  /// (ties toward shallower prefixes — cheaper to replay and their plans
-  /// serve more sessions). Prefixes whose ancestor chain was partially
-  /// evicted are skipped: they can no longer be reconstructed.
-  std::vector<HotPrefix> HottestPrefixes(std::size_t max_prefixes) const;
 
   PlanCacheStats stats() const;
   const PlanCacheOptions& options() const { return options_; }
 
  private:
-  /// One trie node: its position witness (parent + edge) for export, and
-  /// the memoized question once some session planned here.
+  /// One trie node: its position witness (parent + edge), which eviction
+  /// uses to drop the intern entry, and the memoized question once some
+  /// session planned here.
   struct Node {
     PlanPrefixId parent = kNoPlanPrefix;
     std::string edge;
     bool has_question = false;
-    bool seeded = false;
     Query question;
-    std::uint64_t hits = 0;
     std::size_t bytes = 0;
     std::list<PlanPrefixId>::iterator lru_it;
   };
@@ -235,8 +205,6 @@ class PlanCache {
   std::atomic<std::uint64_t> bypassed_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> inserts_{0};
-  std::atomic<std::uint64_t> seeded_inserts_{0};
-  std::atomic<std::uint64_t> seeded_hits_{0};
 };
 
 }  // namespace aigs

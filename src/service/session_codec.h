@@ -70,8 +70,8 @@ class SessionCodec {
 
   /// Parses one step line (the AppendStepKey encoding, with or without the
   /// trailing divergence flag and/or newline) back into a TranscriptStep —
-  /// the inverse the warm-publish seeder uses to replay a hot trie prefix
-  /// onto a fresh snapshot. InvalidArgument on malformed input.
+  /// the inverse Decode and WAL step records use. InvalidArgument on
+  /// malformed input.
   static StatusOr<TranscriptStep> ParseStepLine(std::string_view line);
 };
 

@@ -1,5 +1,5 @@
-// The drain worker: Publish is an O(1) epoch swap and the warm-seed +
-// idle-session sweep run on a concurrent-safe worker.
+// The drain worker: Publish is an O(1) epoch swap and the idle-session
+// sweep runs on a concurrent-safe worker.
 //  (1) equivalence, the hard guarantee: for every registry policy on trees
 //      and DAGs, a session drained onto a new epoch asks exactly the
 //      remaining questions a quiescent engine asks for the same target;
@@ -8,7 +8,6 @@
 //      injectable clock;
 //  (3) roll-forward: a second Publish mid-drain supersedes the running job
 //      and the pipeline converges on the newest epoch, never a stale one;
-//      a `warm` issued mid-drain never cancels the publish's sweep;
 //  (4) a multithreaded stress run racing Open/Ask/Answer/Close and repeated
 //      publishes against the live drain — no lost or duplicated sessions,
 //      every transcript still bit-identical to the quiescent reference;
@@ -306,39 +305,6 @@ TEST(EpochDrain, RePublishMidDrainConvergesOnTheNewestEpoch) {
     EXPECT_EQ(Drive(engine, id, rest, SIZE_MAX), target);
     ASSERT_TRUE(engine.Close(id).ok());
   }
-}
-
-TEST(EpochDrain, WarmRightAfterPublishStillMigratesEveryIdleSession) {
-  const DrainCase c = std::move(Cases().front());
-  EngineOptions options;
-  options.drain.batch_size = 4;  // a long sweep for the warm job to cut
-  options.drain.tick_budget_ms = 1;
-  Engine engine(options);
-  ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
-
-  const NodeId target = static_cast<NodeId>(c.hierarchy.NumNodes() - 1);
-  std::vector<SessionId> ids;
-  for (int i = 0; i < 200; ++i) {
-    ExactOracle oracle(c.hierarchy.reach(), target);
-    auto id = engine.Open("greedy");
-    ASSERT_TRUE(id.ok());
-    DriveIdle(engine, *id, oracle, 1);
-    ids.push_back(*id);
-  }
-
-  // The warm job replaces the publish's job (pending or mid-sweep); the
-  // sweep it owed must carry over.
-  ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
-  const auto warmed = engine.Warm();
-  ASSERT_TRUE(warmed.ok()) << warmed.status().ToString();
-  engine.WaitForDrain();
-
-  const EngineStats stats = engine.Stats();
-  ASSERT_EQ(stats.sessions_by_epoch.size(), 1u);
-  EXPECT_EQ(stats.sessions_by_epoch.begin()->first, 2u);
-  EXPECT_EQ(stats.sessions_by_epoch.begin()->second, ids.size());
-  EXPECT_EQ(stats.drain.migrated, ids.size());
-  EXPECT_EQ(stats.drain.failed, 0u);
 }
 
 // ---- (4) concurrent stress: live traffic vs live drain ----------------------

@@ -1,5 +1,5 @@
-// Epoch lifecycle (PR 5): cross-epoch session migration, warm-publish trie
-// seeding, and the post-publish idle-session sweep.
+// Epoch lifecycle: cross-epoch session migration and the
+// post-publish idle-session sweep.
 //  (1) migration equivalence, the hard guarantee: for every registry policy
 //      on trees and DAGs, a session saved on epoch E and migrated to epoch
 //      E' produces a transcript bit-identical to a fresh E' session
@@ -14,15 +14,12 @@
 //  (4) adversarial/malformed migration inputs — truncated blobs,
 //      wrong-hierarchy blobs, out-of-range node ids, v1 blobs, divergence
 //      on phase-automaton policies — all return Status, never abort;
-//  (5) warm publish: the fresh trie is pre-seeded from the old epoch's
-//      hottest prefixes (seeded/organic stats split; a fresh session asks
-//      through warm prefixes without planner misses), and seeding onto a
-//      snapshot where a prefix question no longer exists degrades
-//      gracefully;
-//  (6) the publish sweep: idle old-epoch sessions migrate automatically,
-//      sessions mid-question stay pinned, and an explicitly migrated
-//      session must re-Ask before answering.
+//  (5) the publish sweep: idle old-epoch sessions migrate automatically
+//      and their replays refill the fresh epoch's plan trie, sessions
+//      mid-question stay pinned, and an explicitly migrated session must
+//      re-Ask before answering.
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -630,83 +627,73 @@ TEST(EpochMigration, ContradictoryObservedStepsStillRefuseGracefully) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-// ---- (5) warm publish -------------------------------------------------------
+// ---- (5) the publish sweep --------------------------------------------------
 
-TEST(EpochMigration, WarmPublishSeedsTheFreshTrieFromHotPrefixes) {
-  const MigrationCase c = std::move(Cases().front());
-  Engine engine;  // warm_publish defaults on
-  ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
-
-  // Heat epoch 1's trie: several sessions share the early prefixes.
-  const NodeId target = static_cast<NodeId>(c.hierarchy.NumNodes() - 1);
-  for (int i = 0; i < 4; ++i) {
-    ExactOracle oracle(c.hierarchy.reach(), target);
-    auto id = engine.Open("greedy_naive");
-    ASSERT_TRUE(id.ok());
-    EXPECT_EQ(Drive(engine, *id, oracle, SIZE_MAX), target);
-    ASSERT_TRUE(engine.Close(*id).ok());
+/// Opens a `greedy` session for `target` and answers its first `depth`
+/// questions without asking the next one, so the session is idle (the
+/// sweep migrates it). Returns nullopt, after closing the session, when
+/// the search identifies the target sooner.
+std::optional<SessionId> ParkIdleAtDepth(Engine& engine, const Hierarchy& h,
+                                         NodeId target, std::size_t depth) {
+  const auto id = engine.Open("greedy");
+  AIGS_CHECK(id.ok());
+  ExactOracle oracle(h.reach(), target);
+  for (std::size_t step = 0; step < depth; ++step) {
+    const auto q = engine.Ask(*id);
+    AIGS_CHECK(q.ok());
+    if (q->kind == Query::Kind::kDone) {
+      AIGS_CHECK(engine.Close(*id).ok());
+      return std::nullopt;
+    }
+    AIGS_CHECK(engine.Answer(*id, AnswerFromOracle(*q, oracle)).ok());
   }
-
-  // Publish with the SAME weights: the seeded plans equal the old ones, so
-  // a fresh session must walk its whole transcript on pure trie hits.
-  // Publish returns after the O(1) swap; the seeding itself runs on the
-  // background drain worker, so wait for it before reading trie stats.
-  ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
-  engine.WaitForDrain();
-  const std::shared_ptr<PlanCache> trie = engine.plan_cache();
-  ASSERT_NE(trie, nullptr);
-  const PlanCacheStats seeded = trie->stats();
-  EXPECT_GT(seeded.seeded_inserts, 0u);
-  EXPECT_EQ(seeded.seeded_inserts, seeded.inserts);
-
-  ExactOracle oracle(c.hierarchy.reach(), target);
-  auto id = engine.Open("greedy_naive");
-  ASSERT_TRUE(id.ok());
-  EXPECT_EQ(Drive(engine, *id, oracle, SIZE_MAX), target);
-  ASSERT_TRUE(engine.Close(*id).ok());
-  const PlanCacheStats after = trie->stats();
-  EXPECT_GT(after.hits, 0u);
-  EXPECT_GT(after.seeded_hits, 0u);
-  EXPECT_EQ(after.misses, seeded.misses)
-      << "the warm-seeded trie should serve the whole repeat transcript";
-
-  // The explicit Warm() path reports a replayed-prefix count too.
-  const auto warmed = engine.Warm();
-  ASSERT_TRUE(warmed.ok()) << warmed.status().ToString();
-  EXPECT_GT(*warmed, 0u);
+  return *id;
 }
 
-TEST(EpochMigration, WarmSeedingOntoSmallerHierarchySkipsStalePrefixes) {
-  const MigrationCase c = std::move(Cases().front());
-  Engine engine;
-  ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
-  const NodeId target = static_cast<NodeId>(c.hierarchy.NumNodes() - 1);
-  for (int i = 0; i < 3; ++i) {
-    ExactOracle oracle(c.hierarchy.reach(), target);
-    auto id = engine.Open("greedy");
-    ASSERT_TRUE(id.ok());
-    EXPECT_EQ(Drive(engine, *id, oracle, SIZE_MAX), target);
-    ASSERT_TRUE(engine.Close(*id).ok());
-  }
-  // The next epoch serves a much smaller hierarchy: most recorded prefix
-  // questions name nodes that no longer exist. Seeding must skip them
-  // without error (and sweep migration of nothing must be a no-op).
-  Rng rng(4);
-  Hierarchy small = MustBuild(RandomTree(5, rng));
-  CatalogConfig config;
-  config.hierarchy = UnownedHierarchy(small);
-  config.distribution = EqualDistribution(small.NumNodes());
-  config.policy_specs = {"greedy"};
-  ASSERT_TRUE(engine.Publish(std::move(config)).ok());
-  engine.WaitForDrain();
-  auto id = engine.Open("greedy");
-  ASSERT_TRUE(id.ok());
-  ExactOracle oracle(small.reach(), 3);
-  EXPECT_EQ(Drive(engine, *id, oracle, SIZE_MAX), 3u);
-  EXPECT_TRUE(engine.Close(*id).ok());
-}
+// The sweep's replays are the only thing that refills a new epoch's trie
+// before live traffic does: with unchanged weights every parked session's
+// prefix is re-planned, so a fresh session asks through it on hits alone.
+TEST(EpochMigration, PublishSweepFillsTheFreshTrie) {
+  constexpr std::size_t kDepth = 4;
+  for (const MigrationCase& c : Cases()) {
+    SCOPED_TRACE(c.name);
+    Engine engine;  // sweep_on_publish defaults on
+    ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
+    std::vector<NodeId> parked;
+    for (NodeId target = 0; target < c.hierarchy.NumNodes(); ++target) {
+      if (ParkIdleAtDepth(engine, c.hierarchy, target, kDepth)) {
+        parked.push_back(target);
+      }
+    }
+    ASSERT_FALSE(parked.empty());
 
-// ---- (6) the publish sweep --------------------------------------------------
+    ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
+    engine.WaitForDrain();
+    const EngineStats stats = engine.Stats();
+    EXPECT_EQ(stats.sessions_by_epoch.count(1), 0u);
+    EXPECT_EQ(stats.drain.migrated, parked.size());
+    const std::shared_ptr<PlanCache> trie = engine.plan_cache();
+    ASSERT_NE(trie, nullptr);
+    const PlanCacheStats filled = trie->stats();
+    EXPECT_EQ(filled.hits + filled.misses, 0u)
+        << "no Ask reached epoch 2 yet; every insert is a sweep replay";
+    EXPECT_GE(filled.inserts, kDepth);
+
+    const NodeId target = parked.front();
+    ExactOracle oracle(c.hierarchy.reach(), target);
+    const auto id = engine.Open("greedy");
+    ASSERT_TRUE(id.ok());
+    for (std::size_t step = 0; step < kDepth; ++step) {
+      const auto q = engine.Ask(*id);
+      ASSERT_TRUE(q.ok());
+      ASSERT_NE(q->kind, Query::Kind::kDone);
+      ASSERT_TRUE(engine.Answer(*id, AnswerFromOracle(*q, oracle)).ok());
+    }
+    const PlanCacheStats after = trie->stats();
+    EXPECT_EQ(after.hits - filled.hits, kDepth);
+    EXPECT_EQ(after.misses, filled.misses);
+  }
+}
 
 TEST(EpochMigration, PublishSweepMigratesIdleSessionsAndSkipsMidQuestion) {
   const MigrationCase c = std::move(Cases().front());

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "data/builtin.h"
-#include "graph/dot_export.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -84,31 +83,6 @@ TEST(GraphIo, SaveAndLoadFile) {
 
 TEST(GraphIo, LoadMissingFileFails) {
   EXPECT_FALSE(LoadHierarchy("/nonexistent/path/file.txt").ok());
-}
-
-TEST(DotExport, ContainsNodesAndEdges) {
-  const Digraph g = BuildVehicleHierarchy();
-  const std::string dot = ToDot(g);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("Vehicle"), std::string::npos);
-  EXPECT_NE(dot.find("Sentra"), std::string::npos);
-  EXPECT_NE(dot.find("->"), std::string::npos);
-}
-
-TEST(DotExport, AnnotationsAppended) {
-  const Digraph g = BuildVehicleHierarchy();
-  DotOptions options;
-  options.annotate = [](NodeId v) { return "id=" + std::to_string(v); };
-  const std::string dot = ToDot(g, options);
-  EXPECT_NE(dot.find("id=0"), std::string::npos);
-}
-
-TEST(DotExport, EscapesQuotes) {
-  Digraph g;
-  g.AddNode("with\"quote");
-  ASSERT_TRUE(g.Finalize().ok());
-  const std::string dot = ToDot(g);
-  EXPECT_NE(dot.find("with\\\"quote"), std::string::npos);
 }
 
 }  // namespace

@@ -278,11 +278,10 @@ TEST(PlanCache, EvictionKeepsResultsExactAndBytesBounded) {
 TEST(PlanCache, PublishStartsAFreshTrieAndOldSessionsKeepTheirs) {
   const CacheCase c = std::move(CacheCases().front());
   // This test pins the PR-4 epoch-pinning path: publish must NOT disturb
-  // live sessions or seed the fresh trie. Warm seeding and the migration
-  // sweep (on by default since PR 5) are therefore explicitly disabled;
-  // tests/test_epoch_migration.cc covers them.
+  // live sessions or fill the fresh trie. The migration sweep (on by
+  // default) is therefore explicitly disabled;
+  // tests/test_epoch_migration.cc covers it.
   EngineOptions pinned = CachedOptions();
-  pinned.plan_cache.warm_publish = false;
   pinned.migration.sweep_on_publish = false;
   Engine engine(pinned);
   ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
@@ -372,8 +371,6 @@ TEST(PlanCacheUnit, InternedRollingKeyMissThenHit) {
   EXPECT_EQ(stats.inserts, 1u);
   EXPECT_GT(stats.bytes, 0u);
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
-  EXPECT_EQ(stats.seeded_inserts, 0u);
-  EXPECT_EQ(stats.seeded_hits, 0u);
 }
 
 TEST(PlanCacheUnit, InterningIsStableAndPerSpec) {
@@ -447,48 +444,6 @@ TEST(PlanCacheUnit, BatchQueriesRoundTrip) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->kind, Query::Kind::kReachBatch);
   EXPECT_EQ(hit->choices, (std::vector<NodeId>{7, 9, 11}));
-}
-
-TEST(PlanCacheUnit, SeededEntriesSplitTheStats) {
-  PlanCache cache(PlanCacheOptions{});
-  const PlanPrefixId seeded = cache.RootFor("greedy");
-  const PlanPrefixId organic = cache.Advance(seeded, "reach 1 y\n");
-  cache.Insert(seeded, Query::ReachQuery(1), /*seeded=*/true);
-  cache.Insert(organic, Query::ReachQuery(2));
-  ASSERT_TRUE(cache.Lookup(seeded).has_value());
-  ASSERT_TRUE(cache.Lookup(seeded).has_value());
-  ASSERT_TRUE(cache.Lookup(organic).has_value());
-  const PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.inserts, 2u);
-  EXPECT_EQ(stats.seeded_inserts, 1u);
-  EXPECT_EQ(stats.hits, 3u);
-  EXPECT_EQ(stats.seeded_hits, 2u);
-}
-
-TEST(PlanCacheUnit, HottestPrefixesReconstructStepLines) {
-  PlanCache cache(PlanCacheOptions{});
-  const PlanPrefixId root = cache.RootFor("greedy");
-  const PlanPrefixId hot = cache.Advance(root, "reach 3 y\n");
-  const PlanPrefixId deep = cache.Advance(hot, "reach 5 n\n");
-  cache.Insert(root, Query::ReachQuery(3));
-  cache.Insert(hot, Query::ReachQuery(5));
-  cache.Insert(deep, Query::ReachQuery(7));
-  // Heat: root 3 hits, hot 2, deep 0 (never looked up).
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(cache.Lookup(root).has_value());
-  }
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(cache.Lookup(hot).has_value());
-  }
-  const std::vector<HotPrefix> prefixes = cache.HottestPrefixes(10);
-  ASSERT_EQ(prefixes.size(), 2u);  // zero-hit nodes are not exported
-  EXPECT_EQ(prefixes[0].policy_spec, "greedy");
-  EXPECT_TRUE(prefixes[0].step_lines.empty());
-  EXPECT_EQ(prefixes[0].hits, 3u);
-  EXPECT_EQ(prefixes[1].policy_spec, "greedy");
-  ASSERT_EQ(prefixes[1].step_lines.size(), 1u);
-  EXPECT_EQ(prefixes[1].step_lines[0], "reach 3 y\n");
-  EXPECT_EQ(cache.HottestPrefixes(1).size(), 1u);
 }
 
 }  // namespace

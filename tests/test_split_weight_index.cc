@@ -2,7 +2,7 @@
 // incremental backends must ask bit-identical question sequences to the
 // naive BFS-rescan references across tree/DAG hierarchies and distribution
 // families, which is what keeps Evaluator results bit-identical after the
-// rewiring; (2) property tests for the Fenwick/bitset state after
+// rewiring; (2) property tests for the index state after
 // ApplyYes/ApplyNo/ApplyBatch against brute-force recomputation.
 #include "core/split_weight_index.h"
 
@@ -27,7 +27,6 @@
 #include "graph/generators.h"
 #include "oracle/oracle.h"
 #include "tests/test_support.h"
-#include "util/fenwick.h"
 #include "util/rng.h"
 
 namespace aigs {
@@ -48,45 +47,6 @@ std::vector<Weight> RandomWeights(std::size_t n, Rng& rng, Weight max_value,
     w[0] = 1;
   }
   return w;
-}
-
-// ---- Fenwick tree ----------------------------------------------------------
-
-TEST(FenwickTree, BuildAndPointUpdatesMatchBruteForce) {
-  Rng rng(1);
-  for (int round = 0; round < 20; ++round) {
-    const std::size_t n = 1 + rng.UniformInt(100);
-    std::vector<Weight> values(n);
-    for (auto& v : values) {
-      v = rng.UniformInt(1000);
-    }
-    FenwickTree<Weight> tree(values);
-    for (int step = 0; step < 30; ++step) {
-      const std::size_t i = rng.UniformInt(n);
-      if (rng.Bernoulli(0.5) && values[i] > 0) {
-        // Subtract via modular wrap-around, the kill pattern.
-        const Weight delta = rng.UniformInt(values[i]) + 1;
-        tree.Add(i, Weight{0} - delta);
-        values[i] -= delta;
-      } else {
-        const Weight delta = rng.UniformInt(500);
-        tree.Add(i, delta);
-        values[i] += delta;
-      }
-      const std::size_t begin = rng.UniformInt(n + 1);
-      const std::size_t end = begin + rng.UniformInt(n + 1 - begin);
-      Weight expected = 0;
-      for (std::size_t k = begin; k < end; ++k) {
-        expected += values[k];
-      }
-      ASSERT_EQ(tree.RangeSum(begin, end), expected);
-    }
-    Weight total = 0;
-    for (const Weight v : values) {
-      total += v;
-    }
-    EXPECT_EQ(tree.Total(), total);
-  }
 }
 
 // ---- index state vs brute force -------------------------------------------

@@ -286,20 +286,16 @@ void ServeHelp() {
       "                         (divergence-tolerant; idle sessions also "
       "migrate\n"
       "                         automatically after publish)\n"
-      "  warm                   re-seed the current epoch's plan trie from "
-      "the\n"
-      "                         previous epoch's hottest prefixes\n"
       "  close <id>             discard a session\n"
       "  sessions               live session count\n"
       "  stats                  request traffic (per-op + rejected-by-"
       "status),\n"
-      "                         per-epoch session counts, per-epoch plan-"
-      "trie\n"
-      "                         counters (seeded vs organic hits), "
-      "migrations,\n"
-      "                         persistence (wal bytes, records since "
-      "checkpoint,\n"
-      "                         last fsync, last recovery summary)\n"
+      "                         per-epoch session counts, plan-trie "
+      "counters,\n"
+      "                         migrations, persistence (wal bytes, records\n"
+      "                         since checkpoint, last fsync, last "
+      "recovery\n"
+      "                         summary)\n"
       "  persist <dir> [policy] attach a durable session store to a FRESH "
       "dir;\n"
       "                         every acked open/answer/close appends a WAL\n"
@@ -312,12 +308,11 @@ void ServeHelp() {
       "                         + WAL tail), keep logging into it\n"
       "  epoch                  current snapshot epoch + fingerprint\n"
       "  drain                  background drain progress (phase, sessions\n"
-      "                         remaining, warm-seed and sweep counters)\n"
+      "                         remaining, sweep counters)\n"
       "  publish <counts.txt>   load new counts, publish a new epoch — an "
       "O(1)\n"
-      "                         swap; trie warm-seeding and the idle-"
-      "session\n"
-      "                         sweep run on the background drain worker\n"
+      "                         swap; the idle-session sweep runs on the\n"
+      "                         background drain worker\n"
       "  policies               prebuilt policy specs\n"
       "  quit                   exit\n");
 }
@@ -571,14 +566,6 @@ int CmdServe(const std::string& hierarchy_path,
         std::printf("(ask %llu again — the new epoch may pose a different "
                     "question)\n", raw_id);
       }
-    } else if (command == "warm") {
-      auto seeded = engine.Warm();
-      if (!seeded.ok()) {
-        warn(seeded.status());
-        continue;
-      }
-      std::printf("replayed %zu hot prefix(es) from the previous epoch's "
-                  "trie into the current one\n", *seeded);
     } else if (command == "ask" || command == "answer" ||
                command == "close" || command == "save") {
       unsigned long long raw_id = 0;
@@ -693,25 +680,18 @@ int CmdServe(const std::string& hierarchy_path,
         std::printf("plan cache: disabled\n");
       } else {
         for (const auto& [epoch, c] : s.plan_cache_by_epoch) {
-          std::printf("plan trie (epoch %llu): %llu hit(s) — %llu seeded / "
-                      "%llu organic — %llu miss(es), %llu eviction(s), "
-                      "hit rate %.1f%%, %llu bypassed past max_depth\n",
+          std::printf("plan trie (epoch %llu): %llu hit(s), %llu miss(es), "
+                      "%llu eviction(s), hit rate %.1f%%, %llu bypassed past "
+                      "max_depth\n",
                       static_cast<unsigned long long>(epoch),
                       static_cast<unsigned long long>(c.hits),
-                      static_cast<unsigned long long>(c.seeded_hits),
-                      static_cast<unsigned long long>(c.hits -
-                                                      c.seeded_hits),
                       static_cast<unsigned long long>(c.misses),
                       static_cast<unsigned long long>(c.evictions),
                       100.0 * c.hit_rate(),
                       static_cast<unsigned long long>(c.bypassed));
-          std::printf("  %llu insert(s) — %llu warm-seeded / %llu organic "
-                      "— %zu entr%s, ~%zu KiB resident\n",
-                      static_cast<unsigned long long>(c.inserts),
-                      static_cast<unsigned long long>(c.seeded_inserts),
-                      static_cast<unsigned long long>(c.inserts -
-                                                      c.seeded_inserts),
-                      c.entries, c.entries == 1 ? "y" : "ies",
+          std::printf("  %llu insert(s) — %zu entr%s, ~%zu KiB resident\n",
+                      static_cast<unsigned long long>(c.inserts), c.entries,
+                      c.entries == 1 ? "y" : "ies",
                       c.bytes >> 10);
         }
       }
@@ -755,8 +735,6 @@ int CmdServe(const std::string& hierarchy_path,
       const DrainStats d = engine.DrainProgress();
       std::printf("phase %s, target epoch %llu\n", DrainPhaseName(d.phase),
                   static_cast<unsigned long long>(d.target_epoch));
-      std::printf("  warm-seed: %zu / %zu hot prefix(es) replayed\n",
-                  d.warm_seeded, d.warm_total);
       std::printf("  sweep: %zu session(s) remaining, %llu batch(es) run, "
                   "last batch %zu\n",
                   d.sessions_remaining,
@@ -853,10 +831,9 @@ int CmdServe(const std::string& hierarchy_path,
         warn(published.status());
         continue;
       }
-      std::printf("published epoch %llu — swap took %.3f ms (trie warm-"
-                  "seeding and the idle-session sweep continue in the "
-                  "background; see 'drain'; sessions mid-question stay on "
-                  "their epoch)\n",
+      std::printf("published epoch %llu — swap took %.3f ms (the "
+                  "idle-session sweep continues in the background; see "
+                  "'drain'; sessions mid-question stay on their epoch)\n",
                   static_cast<unsigned long long>((*published)->epoch()),
                   swap_ms);
     } else if (command == "policies") {
