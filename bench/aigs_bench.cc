@@ -62,7 +62,7 @@ int List() {
       "policy=<registry spec>;\n"
       "  cost=unit|uniform:lo:hi|depth:lo:hi|prices:p0+p1+...|"
       "prices:hash:lo:hi[:seed]|fig3;\n"
-      "  reach=auto|dense|compressed; oracle=exact|noisy:p|persistent:p;\n"
+      "  reach=auto|compressed; oracle=exact|noisy:p|persistent:p;\n"
       "  service=inprocess|engine; cache=on|off; reps=n; "
       "samples=n (0=exact);\n"
       "  threads=n; build_threads=n; seed=n\n");

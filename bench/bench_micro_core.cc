@@ -12,7 +12,6 @@
 #include "eval/runner.h"
 #include "graph/candidate_set.h"
 #include "service/engine.h"
-#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace aigs {
@@ -43,20 +42,7 @@ const Hierarchy& TreeHierarchy() {
   return *h;
 }
 
-// Dense closure rows: the MaskedWeightedSum rows below read ClosureRow().
 const Hierarchy& DagHierarchy() {
-  static const Hierarchy* h = [] {
-    ReachabilityOptions dense;
-    dense.closure = ReachabilityOptions::Closure::kDense;
-    auto built = Hierarchy::Build(GenerateCatalogDag(SmallDagParams()), dense);
-    AIGS_CHECK(built.ok());
-    return new Hierarchy(*std::move(built));
-  }();
-  return *h;
-}
-
-// The same DAG on compressed closure rows, the storage DAGs get by default.
-const Hierarchy& CompressedDagHierarchy() {
   static const Hierarchy* h = [] {
     auto built = Hierarchy::Build(GenerateCatalogDag(SmallDagParams()));
     AIGS_CHECK(built.ok());
@@ -202,11 +188,9 @@ void BM_GreedyTreeSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyTreeSearch);
 
-// Full GreedyDAG searches to random targets, on dense and on compressed
-// closure rows (both hierarchies share DagDist: same graph, same n).
-template <const Hierarchy& (*GetHierarchy)()>
+// Full GreedyDAG searches to random targets on compressed closure rows.
 void BM_GreedyDagSearch(benchmark::State& state) {
-  const Hierarchy& h = GetHierarchy();
+  const Hierarchy& h = DagHierarchy();
   GreedyDagPolicy policy(h, DagDist());
   Rng rng(4);
   for (auto _ : state) {
@@ -217,10 +201,7 @@ void BM_GreedyDagSearch(benchmark::State& state) {
     benchmark::DoNotOptimize(RunSearch(*session, oracle).target);
   }
 }
-BENCHMARK_TEMPLATE(BM_GreedyDagSearch, DagHierarchy)
-    ->Name("BM_GreedyDagSearch");
-BENCHMARK_TEMPLATE(BM_GreedyDagSearch, CompressedDagHierarchy)
-    ->Name("BM_GreedyDagSearchCompressed");
+BENCHMARK(BM_GreedyDagSearch)->Name("BM_GreedyDagSearchCompressed");
 
 void BM_TreeSessionCreation(benchmark::State& state) {
   const Hierarchy& h = TreeHierarchy();
@@ -282,61 +263,6 @@ void BM_EngineOpenClose(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineOpenClose);
-
-// Blocked/word-parallel weighted popcount vs the bit-by-bit gather, both
-// computing w(closure[v] & alive) with a fully alive mask. Two regimes:
-// the dense rows near the root (what the dominance-pruned descent probes —
-// the kernel settles full words against block sums) and a sweep over all
-// rows (mostly sparse; the kernel must not lose there).
-void BM_MaskedWeightedSumBitwiseDense(benchmark::State& state) {
-  const Hierarchy& h = DagHierarchy();
-  const auto& weights = DagDist().weights();
-  const DynamicBitset alive(h.NumNodes(), true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        alive.MaskedWeightedSum(h.reach().ClosureRow(h.root()), weights));
-  }
-}
-BENCHMARK(BM_MaskedWeightedSumBitwiseDense);
-
-void BM_MaskedWeightedSumBlockedDense(benchmark::State& state) {
-  const Hierarchy& h = DagHierarchy();
-  const auto& weights = DagDist().weights();
-  const BlockedWeights blocked(weights);
-  const DynamicBitset alive(h.NumNodes(), true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        alive.MaskedWeightedSum(h.reach().ClosureRow(h.root()), blocked));
-  }
-}
-BENCHMARK(BM_MaskedWeightedSumBlockedDense);
-
-void BM_MaskedWeightedSumBitwiseSweep(benchmark::State& state) {
-  const Hierarchy& h = DagHierarchy();
-  const auto& weights = DagDist().weights();
-  const DynamicBitset alive(h.NumNodes(), true);
-  NodeId v = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        alive.MaskedWeightedSum(h.reach().ClosureRow(v), weights));
-    v = (v + 1) % static_cast<NodeId>(h.NumNodes());
-  }
-}
-BENCHMARK(BM_MaskedWeightedSumBitwiseSweep);
-
-void BM_MaskedWeightedSumBlockedSweep(benchmark::State& state) {
-  const Hierarchy& h = DagHierarchy();
-  const auto& weights = DagDist().weights();
-  const BlockedWeights blocked(weights);
-  const DynamicBitset alive(h.NumNodes(), true);
-  NodeId v = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        alive.MaskedWeightedSum(h.reach().ClosureRow(v), blocked));
-    v = (v + 1) % static_cast<NodeId>(h.NumNodes());
-  }
-}
-BENCHMARK(BM_MaskedWeightedSumBlockedSweep);
 
 void BM_OnlineWeightUpdate(benchmark::State& state) {
   const Hierarchy& h = TreeHierarchy();

@@ -49,26 +49,21 @@ StatusOr<Dataset> BuildBuiltinDataset(const std::string& name,
                           "' (amazon, imagenet, vehicle, fig2, fig3)");
 }
 
-/// Maps a ScenarioSpec::reach value onto ReachabilityOptions. dense and
-/// compressed force closure storage on trees too — otherwise tree datasets
-/// would silently fall back to Euler mode and the scenario would not
-/// exercise the storage it names.
+/// Maps a ScenarioSpec::reach value onto ReachabilityOptions. compressed
+/// forces closure rows on trees too — otherwise tree datasets would
+/// silently fall back to Euler mode and the scenario would not exercise the
+/// storage it names.
 StatusOr<ReachabilityOptions> ParseReachMode(const std::string& reach) {
   ReachabilityOptions options;
   if (reach.empty() || reach == "auto") {
     return options;
   }
-  options.force_closure_on_trees = true;
-  if (reach == "dense") {
-    options.closure = ReachabilityOptions::Closure::kDense;
-    return options;
-  }
   if (reach == "compressed") {
-    options.closure = ReachabilityOptions::Closure::kCompressed;
+    options.force_closure_on_trees = true;
     return options;
   }
   return Status::NotFound("unknown reach mode '" + reach +
-                          "' (auto, dense, compressed)");
+                          "' (auto, compressed)");
 }
 
 /// Self-contained noisy oracle for one search: owns the truthful inner

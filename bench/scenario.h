@@ -44,11 +44,10 @@ struct ScenarioSpec {
   /// prices:hash:lo:hi[:seed] (deterministic pseudo-random per-node prices
   /// in [lo, hi] — arbitrary-price CAIGS, guardable in the baseline).
   std::string cost_model = "unit";
-  /// auto | dense | compressed — reachability storage for the dataset's
-  /// hierarchy. auto keeps the defaults (Euler on trees, compressed
-  /// closure rows on DAGs); dense/compressed force that closure storage on
-  /// every shape, trees included, so the backend=closure|compressed policy
-  /// options have storage to run on.
+  /// auto | compressed — reachability storage for the dataset's hierarchy.
+  /// auto keeps the defaults (Euler on trees, compressed closure rows on
+  /// DAGs); compressed forces closure rows on every shape, trees included,
+  /// so the backend=compressed policy option has storage to run on.
   std::string reach = "auto";
   /// exact | noisy:p | persistent:p — the oracle answering the questions.
   /// noisy flips each answer independently with probability p; persistent
@@ -131,7 +130,7 @@ struct PerfRecord {
 class DatasetCache {
  public:
   /// Returns a cached dataset; builds it on first use. The pointer stays
-  /// valid for the cache's lifetime. `reach` = auto|dense|compressed (a
+  /// valid for the cache's lifetime. `reach` = auto|compressed (a
   /// ScenarioSpec::reach value; distinct storages cache separately).
   /// `build_threads` shards the closure build (0 = hardware); the built
   /// index is bit-identical regardless, so it does not key the cache.

@@ -1924,124 +1924,24 @@ StatusOr<AskLatency> MeasureAskLatency(const Hierarchy& h,
   return r;
 }
 
-/// Removes the `policy <spec>` line from a Save blob so transcripts of the
-/// same search under differently-named (but behavior-identical) specs —
-/// backend=closure vs backend=compressed — can be compared byte for byte.
-std::string StripPolicyLine(const std::string& blob) {
-  const std::size_t at = blob.find("\npolicy ");
-  if (at == std::string::npos) {
-    return blob;
-  }
-  const std::size_t end = blob.find('\n', at + 1);
-  return blob.substr(0, at) + blob.substr(end);
-}
-
-/// (a) Dense vs compressed closure rows on the same ImageNet-shaped DAG:
-/// transcript bit-identity for every registry policy (and the pinned
-/// closure/compressed/bfs naive-greedy backends), guarded scenario rows per
-/// storage, per-backend build-time / bytes-per-row / Ask-latency, and the
-/// p50 ratio gate.
+/// (a) Selection backends on one ImageNet-shaped DAG: guarded scenario rows
+/// for greedy and the pinned naive-greedy backends (bfs rescans and
+/// compressed rows must agree exactly), then the compressed rows' build
+/// time, bytes per row and Ask latency.
 Status BigcatalogCompare(SuiteContext& ctx) {
-  // Identity runs every registry policy (including the O(n·m)/question bfs
-  // rescans), so it uses a capped scale, like the network suite.
+  // The bfs row rescans O(n·m) per question, so identity runs at a capped
+  // scale, like the network suite.
   const double iscale = std::min(ctx.scale, ctx.smoke ? 0.03 : 0.1);
-  AIGS_ASSIGN_OR_RETURN(const Dataset* dense,
-                        ctx.cache->Get("imagenet", iscale, "dense"));
-  AIGS_ASSIGN_OR_RETURN(const Dataset* comp,
-                        ctx.cache->Get("imagenet", iscale, "compressed"));
-  if (dense->hierarchy.reach().storage() !=
-          ReachabilityIndex::Storage::kDenseClosure ||
-      comp->hierarchy.reach().storage() !=
-          ReachabilityIndex::Storage::kCompressedClosure) {
-    return Status::Internal("reach= did not pin the expected storage");
-  }
-
-  // Transcript bit-identity, blob level: every registry policy must emit
-  // byte-identical Save blobs (and the same answer) on dense vs compressed
-  // rows; the pinned backends additionally match after normalizing the
-  // policy line their specs differ in. Guarded suite-internally.
-  {
-    std::vector<std::string> specs = NetworkSpecsFor(dense->hierarchy);
-    specs.push_back("greedy_naive:backend=bfs");
-    // Each engine also serves the naive-greedy spec pinned to its storage
-    // (closure on dense rows, compressed on compressed rows); both draw the
-    // same prices, so Save blobs stay comparable across storages.
-    const auto publish = [&specs](Engine& engine, const Dataset& d,
-                                  const std::string& pinned_backend) {
-      std::vector<std::string> served = specs;
-      served.push_back("greedy_naive:backend=" + pinned_backend);
-      return PublishEpoch(engine, d.hierarchy, d.real_distribution,
-                          std::move(served), 9);
-    };
-    Engine e_dense, e_comp;
-    AIGS_RETURN_NOT_OK(publish(e_dense, *dense, "closure"));
-    AIGS_RETURN_NOT_OK(publish(e_comp, *comp, "compressed"));
-    const std::size_t kTargets = ctx.smoke ? 2 : 4;
-    const AliasTable sampler(dense->real_distribution);
-    Rng rng(2718);
-    std::size_t compared = 0;
-    for (const std::string& spec : specs) {
-      for (std::size_t i = 0; i < kTargets; ++i) {
-        const NodeId target = sampler.Sample(rng);
-        AIGS_ASSIGN_OR_RETURN(
-            const auto on_dense,
-            DriveSaveFinish(e_dense, dense->hierarchy, spec, target, 3));
-        AIGS_ASSIGN_OR_RETURN(
-            const auto on_comp,
-            DriveSaveFinish(e_comp, comp->hierarchy, spec, target, 3));
-        if (on_dense.first != on_comp.first ||
-            on_dense.second != on_comp.second) {
-          return Status::Internal(
-              "storage transcript identity violated: policy '" + spec +
-              "', target " + std::to_string(target) +
-              " — compressed rows produced a different transcript than "
-              "dense rows");
-        }
-        ++compared;
-      }
-    }
-    for (std::size_t i = 0; i < kTargets; ++i) {
-      const NodeId target = sampler.Sample(rng);
-      AIGS_ASSIGN_OR_RETURN(
-          const auto on_dense,
-          DriveSaveFinish(e_dense, dense->hierarchy,
-                          "greedy_naive:backend=closure", target, 3));
-      AIGS_ASSIGN_OR_RETURN(
-          const auto on_comp,
-          DriveSaveFinish(e_comp, comp->hierarchy,
-                          "greedy_naive:backend=compressed", target, 3));
-      if (StripPolicyLine(on_dense.first) != StripPolicyLine(on_comp.first) ||
-          on_dense.second != on_comp.second) {
-        return Status::Internal(
-            "pinned-backend transcript identity violated at target " +
-            std::to_string(target) +
-            ": backend=compressed diverged from backend=closure");
-      }
-      ++compared;
-    }
-    std::printf("[storage transcript identity: %zu sessions (%zu policies + "
-                "pinned backends, %zu targets) bit-identical on dense vs "
-                "compressed rows: OK]\n",
-                compared, specs.size(), kTargets);
-  }
-
-  // Guarded rows: the same sampled evaluation per storage (and per pinned
-  // backend) — the baseline pins the aggregates, the suite additionally
-  // requires the storages to agree EXACTLY, not just within guard slack.
   {
     struct IdentRow {
       const char* suffix;
       const char* policy;
-      const char* reach;
       double expected_cost;
       std::uint64_t max_cost;
     } rows[] = {
-        {"greedy/dense", "greedy", "dense", 0, 0},
-        {"greedy/compressed", "greedy", "compressed", 0, 0},
-        {"naive/bfs", "greedy_naive:backend=bfs", "dense", 0, 0},
-        {"naive/closure", "greedy_naive:backend=closure", "dense", 0, 0},
-        {"naive/compressed", "greedy_naive:backend=compressed", "compressed",
-         0, 0},
+        {"greedy/compressed", "greedy", 0, 0},
+        {"naive/bfs", "greedy_naive:backend=bfs", 0, 0},
+        {"naive/compressed", "greedy_naive:backend=compressed", 0, 0},
     };
     for (auto& row : rows) {
       ScenarioSpec spec;
@@ -2049,119 +1949,61 @@ Status BigcatalogCompare(SuiteContext& ctx) {
       spec.dataset = "imagenet";
       spec.scale = iscale;
       spec.policy = row.policy;
-      spec.reach = row.reach;
+      spec.reach = "compressed";
       spec.samples = 256;
       spec.seed = 4040;
       AIGS_ASSIGN_OR_RETURN(const ScenarioResult r, Run(ctx, spec));
       row.expected_cost = r.expected_cost;
       row.max_cost = r.max_cost;
     }
-    if (rows[0].expected_cost != rows[1].expected_cost ||
-        rows[0].max_cost != rows[1].max_cost) {
-      return Status::Internal(
-          "greedy diverged across storages: dense E[cost] " +
-          FormatDouble(rows[0].expected_cost, 6) + " vs compressed " +
-          FormatDouble(rows[1].expected_cost, 6));
-    }
-    if (rows[2].expected_cost != rows[3].expected_cost ||
-        rows[3].expected_cost != rows[4].expected_cost ||
-        rows[2].max_cost != rows[3].max_cost ||
-        rows[3].max_cost != rows[4].max_cost) {
+    if (rows[1].expected_cost != rows[2].expected_cost ||
+        rows[1].max_cost != rows[2].max_cost) {
       return Status::Internal(
           "naive-greedy backends diverged: bfs E[cost] " +
-          FormatDouble(rows[2].expected_cost, 6) + ", closure " +
-          FormatDouble(rows[3].expected_cost, 6) + ", compressed " +
-          FormatDouble(rows[4].expected_cost, 6));
+          FormatDouble(rows[1].expected_cost, 6) + ", compressed " +
+          FormatDouble(rows[2].expected_cost, 6));
     }
-    std::printf("[backend aggregate identity: greedy and naive-greedy "
-                "agree exactly across dense/compressed/bfs: OK]\n\n");
+    std::printf("[backend aggregate identity: naive-greedy agrees exactly "
+                "across bfs/compressed: OK]\n\n");
   }
 
-  // Latency + footprint comparison at the paper's DAG scale (the 3x p50
-  // gate is defined at ImageNet's 28k nodes; smoke shrinks the catalog and
-  // reports without gating).
+  // Build time, footprint and Ask latency at the paper's DAG scale (smoke
+  // shrinks the catalog).
   const double lscale = ctx.smoke ? std::min(ctx.scale, 0.1) : 1.0;
-  AIGS_ASSIGN_OR_RETURN(const Dataset* ldense,
-                        ctx.cache->Get("imagenet", lscale, "dense"));
-  AIGS_ASSIGN_OR_RETURN(const Dataset* lcomp,
+  AIGS_ASSIGN_OR_RETURN(const Dataset* d,
                         ctx.cache->Get("imagenet", lscale, "compressed"));
-  const std::size_t n = ldense->hierarchy.NumNodes();
-
-  double dense_build_ms = 0, comp_build_ms = 0;
+  const std::size_t n = d->hierarchy.NumNodes();
+  double build_ms = 0;
   {
-    const Digraph& g = ldense->hierarchy.graph();
-    ReachabilityOptions dense_opts;
-    dense_opts.closure = ReachabilityOptions::Closure::kDense;
-    dense_opts.force_closure_on_trees = true;
-    WallTimer t1;
-    const ReachabilityIndex dense_ix(g, dense_opts);
-    dense_build_ms = t1.ElapsedMillis();
-    ReachabilityOptions comp_opts;
-    comp_opts.closure = ReachabilityOptions::Closure::kCompressed;
-    comp_opts.force_closure_on_trees = true;
-    WallTimer t2;
-    const ReachabilityIndex comp_ix(g, comp_opts);
-    comp_build_ms = t2.ElapsedMillis();
+    WallTimer timer;
+    const ReachabilityIndex rebuilt(d->hierarchy.graph());
+    build_ms = timer.ElapsedMillis();
   }
-
   const std::size_t kSessions = ctx.smoke ? 8 : 48;
   AIGS_ASSIGN_OR_RETURN(
-      const AskLatency dense_lat,
-      MeasureAskLatency(ldense->hierarchy, ldense->real_distribution,
-                        kSessions, 321));
-  AIGS_ASSIGN_OR_RETURN(
-      const AskLatency comp_lat,
-      MeasureAskLatency(lcomp->hierarchy, lcomp->real_distribution,
-                        kSessions, 321));
-
-  const double dense_mb = static_cast<double>(
-                              ldense->hierarchy.reach().MemoryBytes()) /
-                          (1024.0 * 1024.0);
-  const double comp_mb = static_cast<double>(
-                             lcomp->hierarchy.reach().MemoryBytes()) /
-                         (1024.0 * 1024.0);
-  AsciiTable table({"Backend", "Build ms", "Index MB", "Bytes/row",
-                    "Ask p50 us", "Ask p99 us"});
-  const struct {
-    const char* name;
-    double build_ms, mb;
-    const AskLatency* lat;
-  } backends[] = {{"dense", dense_build_ms, dense_mb, &dense_lat},
-                  {"compressed", comp_build_ms, comp_mb, &comp_lat}};
-  for (const auto& b : backends) {
-    table.AddRow({b.name, FormatDouble(b.build_ms, 1),
-                  FormatDouble(b.mb, 2),
-                  FormatDouble(b.mb * 1024.0 * 1024.0 /
-                                   static_cast<double>(n), 1),
-                  FormatDouble(b.lat->p50_ms * 1000.0, 2),
-                  FormatDouble(b.lat->p99_ms * 1000.0, 2)});
-    const auto record = [&](const char* metric, const char* unit,
-                            double value, const char* layer) {
-      ctx.perf.push_back({"bigcatalog",
-                          std::string("compare/") + b.name + "/" + metric,
-                          unit, value, layer, {"imagenet", n}});
-    };
-    record("build_ms", "ms", b.build_ms, "graph");
-    record("index_mb", "MB", b.mb, "graph");
-    record("bytes_per_row", "bytes",
-           b.mb * 1024.0 * 1024.0 / static_cast<double>(n), "graph");
-    record("ask_p50_ms", "ms", b.lat->p50_ms, "service");
-  }
-  std::printf("[closure backends at %s nodes: greedy Engine sessions, "
-              "%zu searches per backend]\n%s\n",
-              FormatWithCommas(n).c_str(), kSessions,
-              table.ToString().c_str());
-
-  // The 3x target is defined at the full 28k-node DAG.
-  TimingGate gate(ctx, "bigcatalog_compare", {.full_scale = true});
-  gate.FailIf(comp_lat.p50_ms > 3.0 * dense_lat.p50_ms + 0.005,
-              "bigcatalog SLO violated: compressed Ask p50 (" +
-                  FormatDouble(comp_lat.p50_ms * 1000.0, 1) +
-                  "us) exceeds 3x the dense closure p50 (" +
-                  FormatDouble(dense_lat.p50_ms * 1000.0, 1) +
-                  "us) + 5us slack at " + FormatWithCommas(n) + " nodes");
-  gate.Finish("compressed Ask p50 within 3x of dense closure (+5us slack) "
-              "at " + FormatWithCommas(n) + " nodes");
+      const AskLatency lat,
+      MeasureAskLatency(d->hierarchy, d->real_distribution, kSessions, 321));
+  const double mb = static_cast<double>(d->hierarchy.reach().MemoryBytes()) /
+                    (1024.0 * 1024.0);
+  const double bytes_per_row = mb * 1024.0 * 1024.0 / static_cast<double>(n);
+  const auto record = [&](const char* metric, const char* unit, double value,
+                          const char* layer) {
+    ctx.perf.push_back({"bigcatalog",
+                        std::string("compare/compressed/") + metric, unit,
+                        value, layer, {"imagenet", n}});
+  };
+  record("build_ms", "ms", build_ms, "graph");
+  record("index_mb", "MB", mb, "graph");
+  record("bytes_per_row", "bytes", bytes_per_row, "graph");
+  record("ask_p50_ms", "ms", lat.p50_ms, "service");
+  std::printf("[compressed closure rows at %s nodes: build %s ms, index %s MB "
+              "(%s bytes/row); greedy Engine Ask p50 %s us, p99 %s us over "
+              "%zu searches]\n\n",
+              FormatWithCommas(n).c_str(), FormatDouble(build_ms, 1).c_str(),
+              FormatDouble(mb, 2).c_str(),
+              FormatDouble(bytes_per_row, 1).c_str(),
+              FormatDouble(lat.p50_ms * 1000.0, 2).c_str(),
+              FormatDouble(lat.p99_ms * 1000.0, 2).c_str(), kSessions);
   return Status::OK();
 }
 
@@ -2332,8 +2174,8 @@ Status BigcatalogMillion(SuiteContext& ctx) {
 
 Status SuiteBigcatalog(SuiteContext& ctx) {
   PrintConfig(ctx,
-              "bigcatalog: compressed closure rows — storage identity, "
-              "per-backend latency, million-node gate (PR 9)");
+              "bigcatalog: compressed closure rows — backend identity, "
+              "latency, million-node gate (PR 9)");
   AIGS_RETURN_NOT_OK(BigcatalogCompare(ctx));
   AIGS_RETURN_NOT_OK(BigcatalogMillion(ctx));
   return Status::OK();
@@ -2551,7 +2393,7 @@ Status KernelsMicro(SuiteContext& ctx) {
 /// build of the same DAG must produce byte-identical compressed encodings
 /// (always asserted), and the parallel build must be >=3x faster when the
 /// machine can actually show it (optimized, unsanitized, full scale, >=8
-/// cores). A smaller dense-closure pair rides along for the dense path.
+/// cores).
 Status KernelsParallelBuild(SuiteContext& ctx) {
   const std::size_t n = ctx.smoke ? 100'000 : 1'000'000;
   Digraph g = GenerateCatalogDag(BigCatalogParams(n));
@@ -2583,41 +2425,11 @@ Status KernelsParallelBuild(SuiteContext& ctx) {
   record("compressed/parallel8_ms", "ms", parallel_ms, n);
   record("compressed/speedup", "x", speedup, n);
 
-  // Dense pair at a size where O(n²/8) rows are still cheap.
-  const std::size_t dense_n = 8'192;
-  Rng rng(929);
-  const Digraph dense_g = RandomDag(dense_n, rng, 0.25);
-  ReachabilityOptions dense_serial_options;
-  dense_serial_options.closure = ReachabilityOptions::Closure::kDense;
-  dense_serial_options.build_threads = 1;
-  WallTimer dense_serial_timer;
-  const ReachabilityIndex dense_serial(dense_g, dense_serial_options);
-  const double dense_serial_ms = dense_serial_timer.ElapsedMillis();
-  ReachabilityOptions dense_parallel_options;
-  dense_parallel_options.closure = ReachabilityOptions::Closure::kDense;
-  dense_parallel_options.build_threads = 8;
-  WallTimer dense_parallel_timer;
-  const ReachabilityIndex dense_parallel(dense_g, dense_parallel_options);
-  const double dense_parallel_ms = dense_parallel_timer.ElapsedMillis();
-  for (NodeId u = 0; u < dense_n; ++u) {
-    if (!(dense_serial.ClosureRow(u) == dense_parallel.ClosureRow(u))) {
-      return Status::Internal(
-          "parallel dense closure row " + std::to_string(u) +
-          " differs from the serial build");
-    }
-  }
-  record("dense/serial_ms", "ms", dense_serial_ms, dense_n);
-  record("dense/parallel8_ms", "ms", dense_parallel_ms, dense_n);
-
   AsciiTable table({"Build", "#nodes", "Serial ms", "8-thread ms",
                     "Speedup"});
   table.AddRow({"compressed", FormatWithCommas(n),
                 FormatDouble(serial_ms, 0), FormatDouble(parallel_ms, 0),
                 FormatDouble(speedup, 2) + "x"});
-  table.AddRow({"dense", FormatWithCommas(dense_n),
-                FormatDouble(dense_serial_ms, 0),
-                FormatDouble(dense_parallel_ms, 0),
-                FormatDouble(dense_serial_ms / dense_parallel_ms, 2) + "x"});
   std::printf("[parallel closure builds: byte-identical encodings "
               "verified]\n%s\n",
               table.ToString().c_str());

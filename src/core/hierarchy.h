@@ -22,8 +22,8 @@ class Hierarchy {
   /// Takes ownership of `g` (finalizing it first if necessary, adding a
   /// dummy root for multi-root inputs) and builds the indexes.
   /// `reach_options` selects the reachability storage (Euler intervals for
-  /// trees; compressed closure rows for DAGs unless dense ones are asked
-  /// for).
+  /// trees unless closure rows are forced; compressed closure rows for
+  /// DAGs).
   static StatusOr<Hierarchy> Build(Digraph g,
                                    ReachabilityOptions reach_options = {});
 

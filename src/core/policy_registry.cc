@@ -194,36 +194,19 @@ StatusOr<SelectionBackend> ConsumeBackend(const PolicyContext& context,
   if (backend == "bfs") {
     return SelectionBackend::kBfsRescan;
   }
-  // closure/compressed both run the split-weight index; they additionally
-  // pin WHICH closure storage the hierarchy must carry, so a scenario that
-  // claims to measure compressed rows fails loudly when the hierarchy was
-  // built dense (and vice versa).
-  const ReachabilityIndex::Storage storage = context.hierarchy->reach().storage();
-  if (backend == "closure") {
-    if (storage != ReachabilityIndex::Storage::kDenseClosure) {
-      return Status::InvalidArgument(
-          "backend=closure requires dense closure rows, but this hierarchy "
-          "uses " +
-          std::string(storage == ReachabilityIndex::Storage::kEuler
-                          ? "Euler intervals (tree)"
-                          : "compressed closure rows"));
-    }
-    return SelectionBackend::kSplitIndex;
-  }
+  // compressed runs the split-weight index and additionally pins the
+  // hierarchy's storage, so a scenario that claims to measure compressed
+  // rows fails loudly when the hierarchy uses Euler intervals.
   if (backend == "compressed") {
-    if (storage != ReachabilityIndex::Storage::kCompressedClosure) {
+    if (context.hierarchy->reach().euler_mode()) {
       return Status::InvalidArgument(
-          "backend=compressed requires compressed closure rows "
-          "(ReachabilityOptions::Closure::kCompressed), but this hierarchy "
-          "uses " +
-          std::string(storage == ReachabilityIndex::Storage::kEuler
-                          ? "Euler intervals (tree)"
-                          : "dense closure rows"));
+          "backend=compressed requires compressed closure rows, but this "
+          "hierarchy uses Euler intervals (tree)");
     }
     return SelectionBackend::kSplitIndex;
   }
   return Status::InvalidArgument(
-      "backend must be index|bfs|closure|compressed, got '" + backend + "'");
+      "backend must be index|bfs|compressed, got '" + backend + "'");
 }
 
 FactoryResult MakeGreedyNaive(const PolicyContext& context,
@@ -323,14 +306,14 @@ void RegisterBuiltins(PolicyRegistry& registry) {
                          MakeGreedyDag));
   must(registry.Register("greedy_naive",
                          "Algorithm 2 greedy; options: rounded=bool, "
-                         "backend=index|bfs|closure|compressed (bfs = "
-                         "O(n·m)/question rescans; closure/compressed pin "
-                         "the hierarchy's closure storage)",
+                         "backend=index|bfs|compressed (bfs = "
+                         "O(n·m)/question rescans; compressed pins the "
+                         "hierarchy's closure storage)",
                          MakeGreedyNaive));
   must(registry.Register("naive", "alias of greedy_naive", MakeGreedyNaive));
   must(registry.Register("batched",
                          "batched greedy (§III-E); options: k=int questions "
-                         "per round, backend=index|bfs|closure|compressed",
+                         "per round, backend=index|bfs|compressed",
                          MakeBatched));
   must(registry.Register("cost_sensitive",
                          "CAIGS greedy (Definition 9); needs a cost model; "

@@ -83,21 +83,13 @@ SplitWeightBase::SplitWeightBase(const Hierarchy& hierarchy,
     total_ = euler_prefix_[n];
   } else {
     full_reach_weight_ = reach_->AllReachableSetWeights(weights);
-    compressed_ =
-        reach_->storage() == ReachabilityIndex::Storage::kCompressedClosure;
-    if (compressed_) {
-      // Candidate bitsets live in the compressed closure's position space,
-      // so the weight table (and its block sums) must be permuted the same
-      // way.
-      const CompressedClosure& cc = reach_->compressed();
-      pos_weights_.resize(n);
-      for (std::size_t p = 0; p < n; ++p) {
-        pos_weights_[p] = weights[cc.node_at_pos(p)];
-      }
-      pos_blocked_ = BlockedWeights(pos_weights_);
-    } else {
-      blocked_ = BlockedWeights(weights);
+    // Candidate bitsets live in the compressed closure's position space, so
+    // the weight table (and its block sums) must be permuted the same way.
+    pos_weights_.resize(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      pos_weights_[p] = weights[NodeAtSlot(p)];
     }
+    pos_blocked_ = BlockedWeights(pos_weights_);
     total_ = 0;
     for (const Weight w : weights) {
       total_ += w;
@@ -107,58 +99,34 @@ SplitWeightBase::SplitWeightBase(const Hierarchy& hierarchy,
 
 SplitWeightBase::CountAndWeight SplitWeightBase::RowSplit(
     NodeId v, const DynamicBitset& c) const {
-  if (compressed_) {
-    return reach_->compressed().IntersectCountAndWeight(v, c, pos_blocked_);
-  }
-  return c.MaskedCountAndWeightedSum(reach_->ClosureRow(v), blocked_);
+  return reach_->compressed().IntersectCountAndWeight(v, c, pos_blocked_);
 }
 
 Weight SplitWeightBase::RowWeight(NodeId v, const DynamicBitset& c) const {
-  if (compressed_) {
-    return reach_->compressed()
-        .IntersectCountAndWeight(v, c, pos_blocked_)
-        .weight;
-  }
-  return c.MaskedWeightedSum(reach_->ClosureRow(v), blocked_);
+  return RowSplit(v, c).weight;
 }
 
 std::size_t SplitWeightBase::RowCount(NodeId v,
                                       const DynamicBitset& c) const {
-  if (compressed_) {
-    return reach_->compressed().IntersectCount(v, c);
-  }
-  return c.IntersectionCount(reach_->ClosureRow(v));
+  return reach_->compressed().IntersectCount(v, c);
 }
 
 SplitWeightBase::CountAndWeight SplitWeightBase::SetSplit(
     const DynamicBitset& c) const {
-  return c.RangeCountAndWeightedSum(0, c.size(),
-                                    compressed_ ? pos_blocked_ : blocked_);
+  return c.RangeCountAndWeightedSum(0, c.size(), pos_blocked_);
 }
 
 void SplitWeightBase::FillRow(NodeId v, DynamicBitset& c) const {
-  if (compressed_) {
-    c.ClearAll();
-    reach_->compressed().ExpandRowInto(v, c);
-  } else {
-    c = reach_->ClosureRow(v);
-  }
+  c.ClearAll();
+  reach_->compressed().ExpandRowInto(v, c);
 }
 
 void SplitWeightBase::IntersectRow(NodeId v, DynamicBitset& c) const {
-  if (compressed_) {
-    reach_->compressed().IntersectInto(v, c);
-  } else {
-    c.AndWith(reach_->ClosureRow(v));
-  }
+  reach_->compressed().IntersectInto(v, c);
 }
 
 void SplitWeightBase::SubtractRow(NodeId v, DynamicBitset& c) const {
-  if (compressed_) {
-    reach_->compressed().SubtractFrom(v, c);
-  } else {
-    c.AndNotWith(reach_->ClosureRow(v));
-  }
+  reach_->compressed().SubtractFrom(v, c);
 }
 
 // ---- SplitWeightIndex: state --------------------------------------------------

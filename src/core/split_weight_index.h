@@ -38,12 +38,12 @@
 //    later, so an in-process search, a transcript replay, a drain migration
 //    or a server worker interleaving its sessions pays one row kernel per
 //    answer. Stamps come from a process-wide counter, so a freed and
-//    reallocated session never hits another session's memo. On compressed
-//    rows the views and the blocked weight table live in the compressed
-//    closure's DFS-preorder *position* space and every kernel (fused
-//    count+weight, AND, ANDNOT) consumes the interval / chunked encodings
-//    without materializing a dense row. A DAG session holds O(answers)
-//    words; the O(n/64) views belong to the planning thread.
+//    reallocated session never hits another session's memo. The views and
+//    the blocked weight table live in the compressed closure's DFS-preorder
+//    *position* space and every kernel (fused count+weight, AND, ANDNOT)
+//    consumes the interval / chunked encodings without materializing a
+//    dense row. A DAG session holds O(answers) words; the O(n/64) views
+//    belong to the planning thread.
 //
 // Selection entry points (on CandidateView):
 //  * FindMiddlePoint(): minimizes |2·w(R(v) ∩ C) − w(C)| over alive v ≠
@@ -109,8 +109,6 @@ class SplitWeightBase {
   const ReachabilityIndex& reach() const { return *reach_; }
   const std::vector<Weight>& weights() const { return *node_weights_; }
   bool euler_mode() const { return euler_; }
-  /// True when closure mode runs on compressed rows (position space).
-  bool compressed_mode() const { return compressed_; }
   /// Σ w over all nodes.
   Weight Total() const { return total_; }
 
@@ -123,18 +121,15 @@ class SplitWeightBase {
 
   // ---- closure mode --------------------------------------------------------
   //
-  // Candidate bitsets have one bit per node: bit pos(v) on compressed rows,
-  // bit v on dense ones (a node's "slot").
+  // Candidate bitsets have one bit per node, bit pos(v) of the compressed
+  // closure's position space (a node's "slot").
 
   /// w(R(v)) over the full hierarchy: w(R(v) ∩ C) while C is every node,
   /// and the O(1) upper bound behind CandidateView::PristineBoundRulesOut.
   Weight FullReachWeight(NodeId v) const { return full_reach_weight_[v]; }
-  std::size_t Slot(NodeId v) const {
-    return compressed_ ? reach_->compressed().pos(v) : v;
-  }
+  std::size_t Slot(NodeId v) const { return reach_->compressed().pos(v); }
   NodeId NodeAtSlot(std::size_t slot) const {
-    return compressed_ ? reach_->compressed().node_at_pos(slot)
-                       : static_cast<NodeId>(slot);
+    return reach_->compressed().node_at_pos(slot);
   }
   /// |R(v) ∩ c| and w(R(v) ∩ c) in one row kernel.
   CountAndWeight RowSplit(NodeId v, const DynamicBitset& c) const;
@@ -154,18 +149,15 @@ class SplitWeightBase {
   const ReachabilityIndex* reach_;
   const std::vector<Weight>* node_weights_;
   bool euler_;
-  bool compressed_ = false;
   Weight total_ = 0;
 
   // Euler mode: prefix sums of weights permuted to Euler order (size n+1).
   std::vector<Weight> euler_prefix_;
 
-  // Closure mode: full reachable-set weights and the blocked weight table.
+  // Closure mode: full reachable-set weights, and the weights permuted into
+  // position space with their block sums (candidate bitsets live in
+  // position space too).
   std::vector<Weight> full_reach_weight_;
-  BlockedWeights blocked_;
-
-  // Compressed closure mode: weights permuted into position space and their
-  // block sums (candidate bitsets live in position space too).
   std::vector<Weight> pos_weights_;
   BlockedWeights pos_blocked_;
 };
@@ -233,8 +225,8 @@ class CandidateView {
   bool IsAlive(NodeId v) const;
 
   /// w(R(v) ∩ C): O(log answers) in Euler mode; in closure mode one masked
-  /// kernel over v's closure row — O(n/64) on dense rows, O(compressed row
-  /// size) on compressed ones — or O(1) while C is every node.
+  /// kernel over v's compressed row — O(row size) — or O(1) while C is
+  /// every node.
   Weight ReachWeight(NodeId v) const;
   /// |R(v) ∩ C| with the same costs.
   std::size_t ReachCount(NodeId v) const;
@@ -249,9 +241,8 @@ class CandidateView {
   bool PristineBoundRulesOut(NodeId v, Weight diff, bool strict) const;
 
   /// Invokes fn(NodeId) for every alive candidate. Euler mode iterates in
-  /// Euler order, dense closure mode in node-id order, compressed closure
-  /// mode in DFS-preorder position order — callers that care about order
-  /// must impose their own tie-breaks.
+  /// Euler order, closure mode in DFS-preorder position order — callers
+  /// that care about order must impose their own tie-breaks.
   template <typename Fn>
   void ForEachAlive(Fn&& fn) const;
 
@@ -500,13 +491,7 @@ void CandidateView::ForEachAlive(Fn&& fn) const {
     }
     return;
   }
-  if (base_->compressed_mode()) {
-    const CompressedClosure& cc = base_->reach().compressed();
-    alive_->ForEachSetBit([&](std::size_t p) { fn(cc.node_at_pos(p)); });
-  } else {
-    alive_->ForEachSetBit(
-        [&](std::size_t v) { fn(static_cast<NodeId>(v)); });
-  }
+  alive_->ForEachSetBit([&](std::size_t p) { fn(base_->NodeAtSlot(p)); });
 }
 
 template <typename Fn>

@@ -3,18 +3,15 @@
 // GreedyDAG (w̃(v) = w(G_v)) and the ground truth behind the simulated
 // oracle.
 //
-// Three storage modes:
+// Two storage modes:
 //   - Euler intervals for tree hierarchies — O(n) memory.
-//   - Compressed closure rows (graph/compressed_closure.h), the DAG
-//     default — interval / chunked hybrid rows over a DFS-preorder
-//     permutation, built streaming with one dense scratch row. This is
-//     what makes million-node catalogs buildable at all (the dense
-//     estimate at 1M nodes is ~125 GB), and its kernels match dense-row
-//     latency at paper scale.
-//   - Dense bitset closure rows — O(n²/8) memory (~96 MB for the paper's
-//     28k-node ImageNet hierarchy), built in reverse topological order.
-//     Built only on request (Closure::kDense): the reference storage the
-//     equivalence tests and benches compare compressed rows against.
+//   - Compressed closure rows (graph/compressed_closure.h) for DAGs, and
+//     for trees on request — interval / chunked hybrid rows over a
+//     DFS-preorder permutation, built streaming with one dense scratch row.
+//     This is what makes million-node catalogs buildable at all (dense
+//     bitset rows would take ~125 GB at 1M nodes).
+// The references the equivalence tests compare both storages against are
+// brute-force BFS (graph/traversal.h) and the backend=bfs selection rescans.
 #ifndef AIGS_GRAPH_REACHABILITY_H_
 #define AIGS_GRAPH_REACHABILITY_H_
 
@@ -33,22 +30,15 @@ class ThreadPool;
 
 /// Storage selection for ReachabilityIndex.
 struct ReachabilityOptions {
-  enum class Closure {
-    kCompressed,  // compressed rows (default)
-    kDense,       // dense bitset rows (reference storage)
-  };
-  Closure closure = Closure::kCompressed;
-
-  /// Trees normally use Euler intervals regardless of `closure`; setting
-  /// this forces the closure machinery on trees too, so closure-path code
-  /// can be exercised (and benched) on every hierarchy shape.
+  /// Trees normally use Euler intervals; setting this builds compressed
+  /// closure rows on trees too, so closure-path code can be exercised (and
+  /// benched) on every hierarchy shape.
   bool force_closure_on_trees = false;
 
   /// Closure build concurrency: 0 = hardware concurrency, 1 = serial.
   /// Parallel builds levelize rows by dependency depth and shard each
-  /// level; the resulting index is bit-identical to a serial build (and,
-  /// for compressed storage, byte-identical in its encoded pools). Euler
-  /// (tree) builds are always serial — they are O(n) already.
+  /// level; the encoded pools are byte-identical to a serial build's.
+  /// Euler (tree) builds are always serial — they are O(n) already.
   int build_threads = 0;
 
   /// Caller-owned pool to shard the closure build on (overrides
@@ -60,24 +50,22 @@ struct ReachabilityOptions {
 /// O(1) reachability oracle over a finalized Digraph.
 class ReachabilityIndex {
  public:
+  /// kDenseClosure is a stub that nothing constructs: the serving
+  /// benchmark's kernel probe still names it, and the next change to that
+  /// benchmark deletes it together with ClosureRow().
   enum class Storage { kEuler, kDenseClosure, kCompressedClosure };
 
   /// Builds the index. Uses Euler intervals when `g.IsTree()` (unless
-  /// forced off), otherwise dense or compressed closure rows per
-  /// `options`. The graph must outlive the index.
+  /// forced off), otherwise compressed closure rows. The graph must outlive
+  /// the index.
   explicit ReachabilityIndex(const Digraph& g, ReachabilityOptions options = {});
 
   /// True iff v is reachable from u (u reaches u).
   bool Reaches(NodeId u, NodeId v) const {
-    switch (storage_) {
-      case Storage::kEuler:
-        return tin_[v] >= tin_[u] && tin_[v] < tout_[u];
-      case Storage::kDenseClosure:
-        return closure_[u].Test(v);
-      case Storage::kCompressedClosure:
-        return compressed_->Reaches(u, v);
+    if (euler_mode()) {
+      return tin_[v] >= tin_[u] && tin_[v] < tout_[u];
     }
-    return false;
+    return compressed_->Reaches(u, v);
   }
 
   /// |R(u)|: number of nodes reachable from u, u included.
@@ -91,33 +79,24 @@ class ReachabilityIndex {
   Weight WeightOfReachableSet(NodeId u,
                               const std::vector<Weight>& weights) const;
 
-  /// Computes WeightOfReachableSet for every node in one pass. For trees
-  /// this is a subtree-sum DP; for dense DAGs one closure scan; compressed
-  /// rows settle against position-space prefix sums (O(1) per interval row
-  /// and per run).
+  /// Computes WeightOfReachableSet for every node in one pass: prefix sums
+  /// over the Euler order on trees, over position space on compressed rows
+  /// (O(1) per interval row and per run).
   std::vector<Weight> AllReachableSetWeights(
       const std::vector<Weight>& weights) const;
 
   /// Invokes fn(x) for every x ∈ R(u) (order unspecified).
   template <typename Fn>
   void ForEachReachable(NodeId u, Fn&& fn) const {
-    switch (storage_) {
-      case Storage::kEuler:
-        for (std::uint32_t t = tin_[u]; t < tout_[u]; ++t) {
-          fn(euler_to_node_[t]);
-        }
-        break;
-      case Storage::kDenseClosure:
-        closure_[u].ForEachSetBit([&fn](std::size_t v) {
-          fn(static_cast<NodeId>(v));
-        });
-        break;
-      case Storage::kCompressedClosure:
-        compressed_->ForEachPosInRow(u, [this, &fn](std::size_t p) {
-          fn(compressed_->node_at_pos(p));
-        });
-        break;
+    if (euler_mode()) {
+      for (std::uint32_t t = tin_[u]; t < tout_[u]; ++t) {
+        fn(euler_to_node_[t]);
+      }
+      return;
     }
+    compressed_->ForEachPosInRow(u, [this, &fn](std::size_t p) {
+      fn(compressed_->node_at_pos(p));
+    });
   }
 
   /// Which representation the index chose.
@@ -143,13 +122,9 @@ class ReachabilityIndex {
     return euler_to_node_[t];
   }
 
-  /// Closure row of u: bit v set iff u reaches v. Dense closure mode only —
-  /// the word-parallel form of R(u) the selection layer intersects with the
-  /// alive mask.
-  const DynamicBitset& ClosureRow(NodeId u) const {
-    AIGS_DCHECK(storage_ == Storage::kDenseClosure);
-    return closure_[u];
-  }
+  /// Stub beside Storage::kDenseClosure: no index has dense rows, so this
+  /// CHECK-fails if called.
+  const DynamicBitset& ClosureRow(NodeId u) const;
 
   /// Compressed rows. Compressed closure mode only.
   const CompressedClosure& compressed() const {
@@ -171,7 +146,6 @@ class ReachabilityIndex {
 
  private:
   void BuildEuler();
-  void BuildClosure(const ReachabilityOptions& options);
 
   const Digraph* graph_;
   Storage storage_;
@@ -180,9 +154,6 @@ class ReachabilityIndex {
   std::vector<std::uint32_t> tin_;
   std::vector<std::uint32_t> tout_;
   std::vector<NodeId> euler_to_node_;
-
-  // Dense closure mode: one bitset row per node.
-  std::vector<DynamicBitset> closure_;
 
   // Compressed closure mode.
   std::unique_ptr<CompressedClosure> compressed_;

@@ -160,11 +160,24 @@ Status AigsServer::Start() {
       listen_fd_, ListenTcp(options_.listen, options_.backlog, &port_));
   AIGS_RETURN_NOT_OK(SetNonBlocking(listen_fd_));
   accept_wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (accept_wake_fd_ < 0) {
+  accept_epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (accept_wake_fd_ < 0 || accept_epoll_fd_ < 0) {
+    const Status status = Status::IOError(std::string("acceptor setup: ") +
+                                          std::strerror(errno));
     CloseFd(listen_fd_);
-    listen_fd_ = -1;
-    return Status::IOError(std::string("eventfd: ") + std::strerror(errno));
+    CloseFd(accept_wake_fd_);
+    CloseFd(accept_epoll_fd_);
+    listen_fd_ = accept_wake_fd_ = accept_epoll_fd_ = -1;
+    return status;
   }
+  epoll_event accept_event{};
+  accept_event.events = EPOLLIN;
+  accept_event.data.fd = listen_fd_;
+  (void)::epoll_ctl(accept_epoll_fd_, EPOLL_CTL_ADD, listen_fd_,
+                    &accept_event);
+  accept_event.data.fd = accept_wake_fd_;
+  (void)::epoll_ctl(accept_epoll_fd_, EPOLL_CTL_ADD, accept_wake_fd_,
+                    &accept_event);
 
   running_.store(true, std::memory_order_release);
   started_ = true;
@@ -225,8 +238,10 @@ void AigsServer::Stop() {
   workers_.clear();
   CloseFd(listen_fd_);
   CloseFd(accept_wake_fd_);
+  CloseFd(accept_epoll_fd_);
   listen_fd_ = -1;
   accept_wake_fd_ = -1;
+  accept_epoll_fd_ = -1;
   started_ = false;
   open_.store(0, std::memory_order_relaxed);
   // The PR-7 graceful-shutdown seam: an orderly stop leaves every acked
@@ -256,21 +271,10 @@ std::uint64_t AigsServer::poll_ns() const {
 }
 
 void AigsServer::AcceptLoop() {
-  const int epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd < 0) {
-    return;
-  }
-  epoll_event event{};
-  event.events = EPOLLIN;
-  event.data.fd = listen_fd_;
-  (void)::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listen_fd_, &event);
-  event.data.fd = accept_wake_fd_;
-  (void)::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, accept_wake_fd_, &event);
-
   std::size_t next_worker = 0;
   while (running_.load(std::memory_order_acquire)) {
     epoll_event events[16];
-    const int n = ::epoll_wait(epoll_fd, events, 16, 500);
+    const int n = ::epoll_wait(accept_epoll_fd_, events, 16, 500);
     if (n < 0 && errno != EINTR) {
       break;
     }
@@ -308,7 +312,6 @@ void AigsServer::AcceptLoop() {
       std::this_thread::sleep_for(10ms);
     }
   }
-  CloseFd(epoll_fd);
 }
 
 void AigsServer::WorkerLoop(Worker& worker) {

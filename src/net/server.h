@@ -113,6 +113,9 @@ class AigsServer {
 
   int listen_fd_ = -1;
   int accept_wake_fd_ = -1;
+  // Created by Start() on the caller, so the acceptor thread needs no fd of
+  // its own: it may first run after the process has hit its fd limit.
+  int accept_epoll_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   bool started_ = false;

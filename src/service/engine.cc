@@ -49,11 +49,13 @@ class EpochDrainWorker {
   }
 
   /// Replaces any pending job (the newest publish wins) and cancels the
-  /// running one at its next batch boundary.
-  void Enqueue() {
+  /// running one at its next batch boundary. `epoch` is the one the caller
+  /// just installed; progress reports name it from this call on.
+  void Enqueue(std::uint64_t epoch) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       has_pending_ = true;
+      target_epoch_ = epoch;
       generation_.fetch_add(1, std::memory_order_relaxed);
       drains_.fetch_add(1, std::memory_order_relaxed);
       if (!coordinator_.joinable()) {
@@ -73,9 +75,12 @@ class EpochDrainWorker {
 
   DrainStats Snapshot() const {
     DrainStats stats;
-    stats.phase =
-        static_cast<DrainPhase>(phase_.load(std::memory_order_relaxed));
-    stats.target_epoch = target_epoch_.load(std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats.phase = has_pending_ || active_ ? DrainPhase::kSweeping
+                                            : DrainPhase::kIdle;
+      stats.target_epoch = target_epoch_;
+    }
     stats.sessions_remaining = remaining_.load(std::memory_order_relaxed);
     stats.batches = batches_.load(std::memory_order_relaxed);
     stats.last_batch = last_batch_.load(std::memory_order_relaxed);
@@ -111,8 +116,6 @@ class EpochDrainWorker {
         generation = generation_.load(std::memory_order_relaxed);
       }
       RunJob(generation);
-      phase_.store(static_cast<std::uint8_t>(DrainPhase::kIdle),
-                   std::memory_order_relaxed);
       {
         std::lock_guard<std::mutex> lock(mu_);
         active_ = false;
@@ -130,7 +133,6 @@ class EpochDrainWorker {
     if (snapshot == nullptr) {
       return;
     }
-    target_epoch_.store(snapshot->epoch(), std::memory_order_relaxed);
     if (!Sweep(*snapshot, generation)) {
       rolled_forward_.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -142,8 +144,6 @@ class EpochDrainWorker {
   /// mid-way.
   bool Sweep(const CatalogSnapshot& snapshot, std::uint64_t generation) {
     using Clock = std::chrono::steady_clock;
-    phase_.store(static_cast<std::uint8_t>(DrainPhase::kSweeping),
-                 std::memory_order_relaxed);
     const std::uint64_t target_epoch = snapshot.epoch();
     std::vector<std::pair<SessionId, std::shared_ptr<ServiceSession>>> work;
     for (auto& [id, session] : engine_->sessions_.SnapshotSessions()) {
@@ -251,13 +251,11 @@ class EpochDrainWorker {
   bool has_pending_ = false;
   bool active_ = false;
   bool shutdown_ = false;
+  std::uint64_t target_epoch_ = 0;  // the epoch the newest Enqueue named
 
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<bool> stop_{false};
 
-  std::atomic<std::uint8_t> phase_{
-      static_cast<std::uint8_t>(DrainPhase::kIdle)};
-  std::atomic<std::uint64_t> target_epoch_{0};
   std::atomic<std::size_t> remaining_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::size_t> last_batch_{0};
@@ -438,7 +436,7 @@ StatusOr<std::shared_ptr<const CatalogSnapshot>> Engine::Publish(
   // epoch. Enqueued before the publisher lock drops, so jobs reach the
   // worker in epoch order.
   if (options_.migration.sweep_on_publish && old_snapshot != nullptr) {
-    drain_->Enqueue();
+    drain_->Enqueue(snapshot->epoch());
   }
   return snapshot;
 }

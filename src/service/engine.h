@@ -116,7 +116,7 @@ struct DrainOptions {
 /// Where the drain pipeline currently is.
 enum class DrainPhase : std::uint8_t {
   kIdle = 0,      ///< no drain in flight
-  kSweeping = 2,  ///< migrating idle old-epoch sessions in batches
+  kSweeping = 2,  ///< a drain job is queued or migrating idle sessions
 };
 
 /// Lowercase phase name for logs and the serve REPL.
@@ -125,7 +125,8 @@ const char* DrainPhaseName(DrainPhase phase);
 /// Point-in-time progress of the drain pipeline.
 struct DrainStats {
   DrainPhase phase = DrainPhase::kIdle;
-  /// Epoch the in-flight (or last) drain targets; 0 before any drain.
+  /// Epoch the queued, in-flight or last drain targets (the one its
+  /// Publish installed); 0 before any drain.
   std::uint64_t target_epoch = 0;
   /// Old-epoch sessions the in-flight sweep still has to visit.
   std::size_t sessions_remaining = 0;

@@ -307,6 +307,43 @@ TEST(EpochDrain, RePublishMidDrainConvergesOnTheNewestEpoch) {
   }
 }
 
+// A progress read right after Publish names the epoch that Publish
+// installed, and reports the queued job as sweeping until it has finished.
+TEST(EpochDrain, ProgressReportsAQueuedJob) {
+  const DrainCase c = std::move(Cases().front());
+  CatalogConfig config = ConfigFor(c);
+  config.policy_specs = {"greedy"};
+  Engine engine;
+  ASSERT_TRUE(engine.Publish(config).ok());
+  const NodeId target = static_cast<NodeId>(c.hierarchy.NumNodes() - 1);
+  for (int i = 0; i < 64; ++i) {
+    ExactOracle oracle(c.hierarchy.reach(), target);
+    auto id = engine.Open("greedy");
+    ASSERT_TRUE(id.ok());
+    DriveIdle(engine, *id, oracle, 1);
+  }
+
+  std::size_t seen_sweeping = 0;
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t completed_before = engine.DrainProgress().completed;
+    const auto published = engine.Publish(config);
+    ASSERT_TRUE(published.ok());
+    const DrainStats d = engine.DrainProgress();
+    ASSERT_EQ(d.target_epoch, (*published)->epoch()) << "publish " << i;
+    if (d.phase == DrainPhase::kSweeping) {
+      ++seen_sweeping;
+    } else {
+      // Idle right after the Publish: its own drain has already finished.
+      ASSERT_GT(d.completed, completed_before) << "publish " << i;
+    }
+  }
+  engine.WaitForDrain();
+  const DrainStats d = engine.DrainProgress();
+  EXPECT_EQ(d.phase, DrainPhase::kIdle);
+  EXPECT_EQ(d.target_epoch, engine.epoch());
+  EXPECT_GT(seen_sweeping, 0u);
+}
+
 // ---- (4) concurrent stress: live traffic vs live drain ----------------------
 
 TEST(EpochDrain, StressTrafficRacesDrainAndRePublishLosslessly) {

@@ -334,7 +334,6 @@ std::string AllTranscriptsUnderActiveMode(const Digraph& g) {
   Digraph copy = g;
   ReachabilityOptions reach;
   reach.force_closure_on_trees = true;
-  reach.closure = ReachabilityOptions::Closure::kCompressed;
   auto built = Hierarchy::Build(std::move(copy), reach);
   AIGS_CHECK(built.ok());
   const Hierarchy& h = *built;

@@ -896,10 +896,17 @@ TEST(ServerClient, AcceptorBacksOffAtTheFdLimit) {
   ASSERT_TRUE(DecodeResponsePayload(payload, &response).ok());
   EXPECT_TRUE(response.ok()) << response.message;
   EXPECT_EQ(response.op, WireOp::kOpen);
+  // The reply proves client 0 was accepted; the others may still be in
+  // flight to the acceptor.
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (backend.server.connections_accepted() < 4 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(backend.server.connections_accepted(), 4u);
   for (const int fd : clients) {
     CloseFd(fd);
   }
-  EXPECT_EQ(backend.server.connections_accepted(), 4u);
 }
 
 // ---- consistent-hash ring + router ----------------------------------------

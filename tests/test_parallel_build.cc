@@ -1,6 +1,6 @@
 // Parallel reachability-index builds must be indistinguishable from serial
-// ones: dense closure rows bit-identical, compressed encodings
-// byte-identical (same row table, chunk refs, and payload pools), for any
+// ones: compressed encodings byte-identical (same row table, chunk refs,
+// and payload pools), for any
 // worker count and on a caller-owned pool. The parallel path only engages
 // above a node floor, so these tests run at graph sizes straddling it.
 #include <gtest/gtest.h>
@@ -18,8 +18,8 @@
 namespace aigs {
 namespace {
 
-// The compressed parallel build engages at >= 8192 nodes; the dense one at
-// >= 2048. Use sizes above both so the sharded paths actually run.
+// The compressed parallel build engages at >= 8192 nodes. Use a size above
+// it so the sharded paths actually run.
 constexpr std::size_t kDagNodes = 10'000;
 
 TEST(ParallelBuild, CompressedEncodingByteIdenticalAcrossThreadCounts) {
@@ -68,63 +68,17 @@ TEST(ParallelBuild, CompressedBuildOnCallerOwnedPool) {
   EXPECT_TRUE(reference.IdenticalEncoding(parallel));
 }
 
-TEST(ParallelBuild, DenseClosureBitIdenticalAcrossThreadCounts) {
-  Rng rng(3104);
-  const Digraph dag = RandomDag(4'000, rng, 0.3);
-
-  ReachabilityOptions serial;
-  serial.closure = ReachabilityOptions::Closure::kDense;
-  serial.build_threads = 1;
-  const ReachabilityIndex reference(dag, serial);
-  ASSERT_EQ(reference.storage(), ReachabilityIndex::Storage::kDenseClosure);
-
-  for (const int threads : {2, 8}) {
-    ReachabilityOptions options;
-    options.closure = ReachabilityOptions::Closure::kDense;
-    options.build_threads = threads;
-    const ReachabilityIndex parallel(dag, options);
-    for (NodeId u = 0; u < dag.NumNodes(); ++u) {
-      ASSERT_TRUE(reference.ClosureRow(u) == parallel.ClosureRow(u))
-          << "threads=" << threads << " row " << u;
-      ASSERT_EQ(reference.ReachableCount(u), parallel.ReachableCount(u));
-    }
-  }
-}
-
-TEST(ParallelBuild, DenseClosureOnCallerOwnedPoolAndForcedTree) {
-  Rng rng(3105);
-  const Digraph tree = RandomTree(4'000, rng);
-
-  ReachabilityOptions serial;
-  serial.closure = ReachabilityOptions::Closure::kDense;
-  serial.force_closure_on_trees = true;
-  serial.build_threads = 1;
-  const ReachabilityIndex reference(tree, serial);
-
-  ThreadPool pool(4);
-  ReachabilityOptions options;
-  options.closure = ReachabilityOptions::Closure::kDense;
-  options.force_closure_on_trees = true;
-  options.build_pool = &pool;
-  const ReachabilityIndex parallel(tree, options);
-  for (NodeId u = 0; u < tree.NumNodes(); ++u) {
-    ASSERT_TRUE(reference.ClosureRow(u) == parallel.ClosureRow(u));
-  }
-}
-
 TEST(ParallelBuild, ReachabilityIndexRoutesBuildOptionsToCompressed) {
   Rng rng(3106);
   const Digraph dag = RandomDag(kDagNodes, rng, 0.2);
 
   ReachabilityOptions serial;
-  serial.closure = ReachabilityOptions::Closure::kCompressed;
   serial.build_threads = 1;
   const ReachabilityIndex reference(dag, serial);
   ASSERT_EQ(reference.storage(),
             ReachabilityIndex::Storage::kCompressedClosure);
 
   ReachabilityOptions options;
-  options.closure = ReachabilityOptions::Closure::kCompressed;
   options.build_threads = 8;
   const ReachabilityIndex parallel(dag, options);
   EXPECT_TRUE(reference.compressed().IdenticalEncoding(parallel.compressed()));

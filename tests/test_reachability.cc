@@ -40,10 +40,6 @@ TEST(Reachability, DefaultDagBuildPicksCompressedRows) {
   const Digraph g = RandomDag(40, rng, 0.5);
   EXPECT_EQ(ReachabilityIndex(g).storage(),
             ReachabilityIndex::Storage::kCompressedClosure);
-  ReachabilityOptions dense;
-  dense.closure = ReachabilityOptions::Closure::kDense;
-  EXPECT_EQ(ReachabilityIndex(g, dense).storage(),
-            ReachabilityIndex::Storage::kDenseClosure);
 }
 
 TEST(Reachability, MatchesBruteForceOnTrees) {

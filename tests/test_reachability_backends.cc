@@ -1,10 +1,10 @@
-// Reachability backend equivalence: the three ReachabilityIndex storages
-// (Euler intervals, dense closure, compressed closure) must answer every
-// query identically, and every registered policy must emit bit-identical
-// transcripts no matter which storage — or which greedy_naive/batched
-// selection backend — it runs on. Transcript identity is the repo's core
-// invariant: compression is allowed to change memory and latency, never a
-// single question.
+// Reachability backend equivalence: the two ReachabilityIndex storages
+// (Euler intervals, compressed closure rows) must answer every query the
+// way a brute-force BFS does, and every registered policy must emit
+// bit-identical transcripts no matter which storage — or which
+// greedy_naive/batched selection backend — it runs on. Transcript identity
+// is the repo's core invariant: compression is allowed to change memory
+// and latency, never a single question.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -25,16 +25,8 @@
 namespace aigs {
 namespace {
 
-ReachabilityOptions DenseOpts() {
-  ReachabilityOptions options;
-  options.closure = ReachabilityOptions::Closure::kDense;
-  options.force_closure_on_trees = true;
-  return options;
-}
-
 ReachabilityOptions CompressedOpts() {
   ReachabilityOptions options;
-  options.closure = ReachabilityOptions::Closure::kCompressed;
   options.force_closure_on_trees = true;
   return options;
 }
@@ -164,8 +156,6 @@ TEST(ReachabilityStorages, AgreeOnTrees) {
   const Digraph g = RandomTree(80, rng);
   ExpectIndexesAgree(g, ReachabilityIndex(g),
                      ReachabilityIndex::Storage::kEuler);
-  ExpectIndexesAgree(g, ReachabilityIndex(g, DenseOpts()),
-                     ReachabilityIndex::Storage::kDenseClosure);
   ExpectIndexesAgree(g, ReachabilityIndex(g, CompressedOpts()),
                      ReachabilityIndex::Storage::kCompressedClosure);
 }
@@ -174,80 +164,101 @@ TEST(ReachabilityStorages, AgreeOnDags) {
   Rng rng(22);
   for (const double density : {0.15, 0.5}) {
     const Digraph g = RandomDag(60, rng, density);
-    ExpectIndexesAgree(g, ReachabilityIndex(g, DenseOpts()),
-                       ReachabilityIndex::Storage::kDenseClosure);
-    ExpectIndexesAgree(g, ReachabilityIndex(g, CompressedOpts()),
+    ExpectIndexesAgree(g, ReachabilityIndex(g),
                        ReachabilityIndex::Storage::kCompressedClosure);
   }
 }
 
 // ---- transcript identity for every registered policy ----------------------
 
-/// Runs every registered policy on dense-closure and compressed-closure
-/// builds of the same graph and requires identical all-target transcripts.
-/// Policies a hierarchy shape legitimately rejects (greedy_tree on a DAG)
-/// must be rejected identically by both builds.
-void ExpectAllPoliciesStorageInvariant(const Digraph& g) {
-  const Hierarchy dense = BuildWith(g, DenseOpts());
+/// The all-target transcripts of `spec` on `h`; a spec the hierarchy shape
+/// rejects (greedy_tree on a DAG) yields its status code instead.
+std::string TranscriptsOrCode(const std::string& spec, const Hierarchy& h,
+                              const PolicyContext& ctx) {
+  auto policy = PolicyRegistry::Global().Create(spec, ctx);
+  if (!policy.ok()) {
+    return "rejected: " + std::to_string(static_cast<int>(
+                              policy.status().code()));
+  }
+  return AllTranscripts(**policy, h.reach(), h.NumNodes());
+}
+
+/// Runs every registered policy on a tree's Euler intervals and on
+/// compressed rows forced onto the same tree, and requires identical
+/// all-target transcripts (or identical rejections).
+TEST(BackendTranscripts, EveryPolicyIdenticalOnTree) {
+  Rng rng(31);
+  const Digraph g = RandomTree(40, rng);
+  const Hierarchy euler = BuildWith(g, {});
   const Hierarchy compressed = BuildWith(g, CompressedOpts());
-  ASSERT_EQ(dense.reach().storage(),
-            ReachabilityIndex::Storage::kDenseClosure);
+  ASSERT_EQ(euler.reach().storage(), ReachabilityIndex::Storage::kEuler);
   ASSERT_EQ(compressed.reach().storage(),
             ReachabilityIndex::Storage::kCompressedClosure);
 
   const std::size_t n = g.NumNodes();
-  Rng rng(77);
+  Rng weight_rng(77);
   std::vector<Weight> weights(n);
   for (std::size_t v = 0; v < n; ++v) {
-    weights[v] = 1 + rng.UniformInt(9);
+    weights[v] = 1 + weight_rng.UniformInt(9);
   }
   const Distribution dist = testing::MustDist(weights);
   std::vector<std::uint32_t> costs(n);
   for (std::size_t v = 0; v < n; ++v) {
-    costs[v] = 1 + rng.UniformInt(5);
+    costs[v] = 1 + weight_rng.UniformInt(5);
   }
   const CostModel cost_model(costs);
-
-  PolicyContext dense_ctx{&dense, &dist, &cost_model};
-  PolicyContext comp_ctx{&compressed, &dist, &cost_model};
+  const PolicyContext euler_ctx{&euler, &dist, &cost_model};
+  const PolicyContext comp_ctx{&compressed, &dist, &cost_model};
 
   for (const auto& entry : PolicyRegistry::Global().List()) {
     SCOPED_TRACE(entry.name);
     const std::string spec = WorkingSpec(entry.name, n);
-    auto on_dense = PolicyRegistry::Global().Create(spec, dense_ctx);
-    auto on_comp = PolicyRegistry::Global().Create(spec, comp_ctx);
-    ASSERT_EQ(on_dense.ok(), on_comp.ok());
-    if (!on_dense.ok()) {
-      EXPECT_EQ(on_dense.status().code(), on_comp.status().code());
-      continue;  // shape-rejected on both builds alike
-    }
-    EXPECT_EQ(AllTranscripts(**on_dense, dense.reach(), n),
-              AllTranscripts(**on_comp, compressed.reach(), n));
+    EXPECT_EQ(TranscriptsOrCode(spec, euler, euler_ctx),
+              TranscriptsOrCode(spec, compressed, comp_ctx));
   }
 }
 
-TEST(BackendTranscripts, EveryPolicyIdenticalOnTree) {
-  Rng rng(31);
-  ExpectAllPoliciesStorageInvariant(RandomTree(40, rng));
-}
-
+/// On a DAG the compressed-row planners must match their references: the
+/// split-weight index against backend=bfs rescans, and GreedyDAG's
+/// bound-pruned BFS against its unpruned ablation.
 TEST(BackendTranscripts, EveryPolicyIdenticalOnDag) {
   Rng rng(32);
-  ExpectAllPoliciesStorageInvariant(RandomDag(36, rng, 0.3));
+  const Hierarchy h = BuildWith(RandomDag(36, rng, 0.3), {});
+  ASSERT_EQ(h.reach().storage(),
+            ReachabilityIndex::Storage::kCompressedClosure);
+  Rng weight_rng(77);
+  std::vector<Weight> weights(h.NumNodes());
+  for (Weight& w : weights) {
+    w = 1 + weight_rng.UniformInt(9);
+  }
+  const Distribution dist = testing::MustDist(weights);
+  const PolicyContext ctx{&h, &dist, nullptr};
+  const std::pair<const char*, const char*> pairs[] = {
+      {"greedy_naive", "greedy_naive:backend=bfs"},
+      {"batched:k=4", "batched:k=4,backend=bfs"},
+      {"greedy_dag", "greedy_dag:prune=false"},
+  };
+  for (const auto& [spec, reference] : pairs) {
+    SCOPED_TRACE(spec);
+    const std::string want = TranscriptsOrCode(reference, h, ctx);
+    ASSERT_EQ(want.find("rejected"), std::string::npos);
+    EXPECT_EQ(TranscriptsOrCode(spec, h, ctx), want);
+  }
 }
 
-/// The explicit backend= pins: bfs rescans, closure (dense rows), and
-/// compressed (compressed rows) must all reproduce the index backend's
-/// transcripts exactly, for both selection-backed policies.
+/// The explicit backend= pins: bfs rescans and compressed (compressed
+/// rows) must reproduce the index backend's transcripts exactly, for both
+/// selection-backed policies, on each hierarchy's own storage and on
+/// compressed rows forced onto it.
 TEST(BackendTranscripts, PinnedBackendsIdenticalAcrossStorages) {
   Rng rng(33);
   const Digraph graphs[] = {RandomTree(40, rng), RandomDag(36, rng, 0.35)};
   for (const Digraph& g : graphs) {
-    const Hierarchy dense = BuildWith(g, DenseOpts());
+    const Hierarchy own = BuildWith(g, {});
     const Hierarchy compressed = BuildWith(g, CompressedOpts());
     const std::size_t n = g.NumNodes();
     const Distribution dist = EqualDistribution(n);
-    PolicyContext dense_ctx{&dense, &dist, nullptr};
+    PolicyContext own_ctx{&own, &dist, nullptr};
     PolicyContext comp_ctx{&compressed, &dist, nullptr};
 
     for (const std::string& base :
@@ -261,11 +272,9 @@ TEST(BackendTranscripts, PinnedBackendsIdenticalAcrossStorages) {
         return *std::move(policy);
       };
       const std::string reference =
-          AllTranscripts(*make(dense_ctx, "index"), dense.reach(), n);
+          AllTranscripts(*make(own_ctx, "index"), own.reach(), n);
       EXPECT_EQ(reference,
-                AllTranscripts(*make(dense_ctx, "bfs"), dense.reach(), n));
-      EXPECT_EQ(reference,
-                AllTranscripts(*make(dense_ctx, "closure"), dense.reach(), n));
+                AllTranscripts(*make(own_ctx, "bfs"), own.reach(), n));
       EXPECT_EQ(reference, AllTranscripts(*make(comp_ctx, "compressed"),
                                           compressed.reach(), n));
       EXPECT_EQ(reference,
@@ -281,8 +290,7 @@ TEST(BackendOption, PinsRejectMismatchedStorage) {
   const Digraph tree = RandomTree(24, rng);
   const Digraph dag = RandomDag(24, rng, 0.4);
   const Hierarchy euler = testing::MustBuild(Digraph(tree));
-  const Hierarchy dense = BuildWith(dag, DenseOpts());
-  const Hierarchy compressed = BuildWith(dag, CompressedOpts());
+  const Hierarchy compressed = BuildWith(dag, {});
   ASSERT_EQ(euler.reach().storage(), ReachabilityIndex::Storage::kEuler);
   const Distribution tree_dist = EqualDistribution(tree.NumNodes());
   const Distribution dag_dist = EqualDistribution(dag.NumNodes());
@@ -299,23 +307,15 @@ TEST(BackendOption, PinsRejectMismatchedStorage) {
   };
 
   PolicyContext euler_ctx{&euler, &tree_dist, nullptr};
-  PolicyContext dense_ctx{&dense, &dag_dist, nullptr};
   PolicyContext comp_ctx{&compressed, &dag_dist, nullptr};
 
-  // Euler trees carry no closure rows of either flavor.
-  expect_invalid(euler_ctx, "greedy_naive:backend=closure", "Euler");
+  // Euler trees carry no closure rows.
   expect_invalid(euler_ctx, "greedy_naive:backend=compressed", "Euler");
-  // Each closure pin names the storage the hierarchy actually has.
-  expect_invalid(dense_ctx, "greedy_naive:backend=compressed", "dense");
-  expect_invalid(comp_ctx, "greedy_naive:backend=closure", "compressed");
-  expect_invalid(comp_ctx, "batched:k=2,backend=closure", "compressed");
+  expect_invalid(euler_ctx, "batched:k=2,backend=compressed", "Euler");
   // Unknown backend values fail regardless of storage.
-  expect_invalid(dense_ctx, "greedy_naive:backend=magic", "backend");
+  expect_invalid(comp_ctx, "greedy_naive:backend=magic", "backend");
 
-  // The pins succeed when the storage matches.
-  EXPECT_TRUE(PolicyRegistry::Global()
-                  .Create("greedy_naive:backend=closure", dense_ctx)
-                  .ok());
+  // The pin succeeds when the storage matches.
   EXPECT_TRUE(PolicyRegistry::Global()
                   .Create("greedy_naive:backend=compressed", comp_ctx)
                   .ok());

@@ -207,12 +207,10 @@ TEST(CandidateSet, ResetFromReusesStorage) {
   }
 }
 
-// ---- observed reachability folds (closure mode) -----------------------------
+// ---- observed reachability folds --------------------------------------------
 
-Hierarchy BuildClosure(Digraph g, bool compressed) {
+Hierarchy BuildCompressed(Digraph g) {
   ReachabilityOptions options;
-  options.closure = compressed ? ReachabilityOptions::Closure::kCompressed
-                               : ReachabilityOptions::Closure::kDense;
   options.force_closure_on_trees = true;
   auto h = Hierarchy::Build(std::move(g), options);
   AIGS_CHECK(h.ok());
@@ -232,7 +230,7 @@ Digraph SharedChildDag() {
   return g;
 }
 
-// A closure-mode index plus the backend=bfs reference session and a
+// A split-weight index plus the backend=bfs reference session and a
 // brute-force candidate set, driven through the same observed folds. The
 // reference takes single questions only, so after a batched round the
 // outcomes are checked against brute force alone.
@@ -343,70 +341,65 @@ class ObservedFoldHarness {
 };
 
 TEST(ObservedReach, ClosureOutcomesMatchBfsReference) {
-  for (const bool compressed : {true, false}) {
-    SCOPED_TRACE(compressed ? "compressed rows" : "dense rows");
-    const Hierarchy h = BuildClosure(SharedChildDag(), compressed);
-    const Distribution dist =
-        MustDist(std::vector<Weight>{1, 2, 3, 4, 5, 6, 7});
-    ObservedFoldHarness fold(h, dist);
-    EXPECT_EQ(fold.Fold(7, true), StatusCode::kOutOfRange);
-    EXPECT_EQ(fold.Fold(0, false), StatusCode::kInvalidArgument);
-    EXPECT_EQ(fold.Fold(1, true), StatusCode::kOk);  // C = {1, 3, 4, 5}
-    EXPECT_EQ(fold.index().root(), 1u);
-    // R(6) misses C; R(2) meets it in {3, 4} though 2 itself is dead.
-    EXPECT_EQ(fold.Fold(6, true), StatusCode::kInvalidArgument);
-    EXPECT_EQ(fold.Fold(2, true), StatusCode::kUnimplemented);
-    EXPECT_EQ(fold.Fold(5, false), StatusCode::kOk);  // C = {1, 3, 4}
-    EXPECT_EQ(fold.Fold(6, false), StatusCode::kOk);  // already known
-    EXPECT_EQ(fold.Fold(3, true), StatusCode::kOk);   // C = {3, 4}
-    EXPECT_EQ(fold.index().root(), 3u);
-    // Dead nodes whose rows cover C: a yes carries no information and must
-    // not move the root up to them.
-    EXPECT_EQ(fold.Fold(2, true), StatusCode::kOk);
-    EXPECT_EQ(fold.Fold(1, true), StatusCode::kOk);
-    EXPECT_EQ(fold.index().root(), 3u);
-    EXPECT_EQ(fold.Fold(3, false), StatusCode::kInvalidArgument);
-    EXPECT_EQ(fold.Fold(4, false), StatusCode::kOk);  // C = {3}
-    EXPECT_EQ(fold.index().AliveCount(), 1u);
-  }
+  const Hierarchy h = BuildCompressed(SharedChildDag());
+  const Distribution dist =
+      MustDist(std::vector<Weight>{1, 2, 3, 4, 5, 6, 7});
+  ObservedFoldHarness fold(h, dist);
+  EXPECT_EQ(fold.Fold(7, true), StatusCode::kOutOfRange);
+  EXPECT_EQ(fold.Fold(0, false), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fold.Fold(1, true), StatusCode::kOk);  // C = {1, 3, 4, 5}
+  EXPECT_EQ(fold.index().root(), 1u);
+  // R(6) misses C; R(2) meets it in {3, 4} though 2 itself is dead.
+  EXPECT_EQ(fold.Fold(6, true), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fold.Fold(2, true), StatusCode::kUnimplemented);
+  EXPECT_EQ(fold.Fold(5, false), StatusCode::kOk);  // C = {1, 3, 4}
+  EXPECT_EQ(fold.Fold(6, false), StatusCode::kOk);  // already known
+  EXPECT_EQ(fold.Fold(3, true), StatusCode::kOk);   // C = {3, 4}
+  EXPECT_EQ(fold.index().root(), 3u);
+  // Dead nodes whose rows cover C: a yes carries no information and must
+  // not move the root up to them.
+  EXPECT_EQ(fold.Fold(2, true), StatusCode::kOk);
+  EXPECT_EQ(fold.Fold(1, true), StatusCode::kOk);
+  EXPECT_EQ(fold.index().root(), 3u);
+  EXPECT_EQ(fold.Fold(3, false), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fold.Fold(4, false), StatusCode::kOk);  // C = {3}
+  EXPECT_EQ(fold.index().AliveCount(), 1u);
 }
 
 TEST(ObservedReach, YesTheRootDoesNotReachBesideABatchedYes) {
   // A batched round answering yes for both 1 and 2 moves the root to 1 and
   // keeps 2 as a yes the root does not reach: C = R(1) ∩ R(2) = {3, 4}.
   // Observed folds on top of that state must still see exactly C.
-  for (const bool compressed : {true, false}) {
-    SCOPED_TRACE(compressed ? "compressed rows" : "dense rows");
-    const Hierarchy h = BuildClosure(SharedChildDag(), compressed);
-    const Distribution dist =
-        MustDist(std::vector<Weight>{1, 1, 1, 1, 1, 1, 1});
-    ObservedFoldHarness fold(h, dist);
-    fold.ApplyBatch({1, 2}, {true, true});
-    EXPECT_EQ(fold.index().root(), 1u);
-    EXPECT_EQ(fold.index().AliveCount(), 2u);
-    // 2 is dead, the root does not reach it, and its row covers C.
-    EXPECT_EQ(fold.Fold(2, true), StatusCode::kOk);
-    EXPECT_EQ(fold.index().root(), 1u);
-    EXPECT_EQ(fold.Fold(6, true), StatusCode::kInvalidArgument);
-    EXPECT_EQ(fold.Fold(5, true), StatusCode::kInvalidArgument);
-    EXPECT_EQ(fold.Fold(2, false), StatusCode::kInvalidArgument);
-    EXPECT_EQ(fold.Fold(3, true), StatusCode::kOk);
-    EXPECT_EQ(fold.index().root(), 3u);
-    EXPECT_EQ(fold.Fold(4, false), StatusCode::kOk);  // C = {3}
-    EXPECT_EQ(fold.index().AliveCount(), 1u);
-  }
+  const Hierarchy h = BuildCompressed(SharedChildDag());
+  const Distribution dist =
+      MustDist(std::vector<Weight>{1, 1, 1, 1, 1, 1, 1});
+  ObservedFoldHarness fold(h, dist);
+  fold.ApplyBatch({1, 2}, {true, true});
+  EXPECT_EQ(fold.index().root(), 1u);
+  EXPECT_EQ(fold.index().AliveCount(), 2u);
+  // 2 is dead, the root does not reach it, and its row covers C.
+  EXPECT_EQ(fold.Fold(2, true), StatusCode::kOk);
+  EXPECT_EQ(fold.index().root(), 1u);
+  EXPECT_EQ(fold.Fold(6, true), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fold.Fold(5, true), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fold.Fold(2, false), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fold.Fold(3, true), StatusCode::kOk);
+  EXPECT_EQ(fold.index().root(), 3u);
+  EXPECT_EQ(fold.Fold(4, false), StatusCode::kOk);  // C = {3}
+  EXPECT_EQ(fold.index().AliveCount(), 1u);
 }
 
 TEST(ObservedReach, RandomClosureFoldsMatchBfsReference) {
   // Random observed steps — truthful ones, arbitrary ones that hit every
-  // rejection, and out-of-range nodes — on random DAGs over both row
-  // encodings.
+  // rejection, and out-of-range nodes — on compressed rows over random DAGs
+  // and on Euler intervals over random trees.
   Rng rng(41);
   for (int round = 0; round < 24; ++round) {
-    const bool compressed = round % 2 == 0;
+    const bool dag = round % 2 == 0;
     Rng graph_rng(rng.Next());
-    const Hierarchy h = BuildClosure(
-        RandomDag(3 + rng.UniformInt(30), graph_rng, 0.5), compressed);
+    const std::size_t n = 3 + rng.UniformInt(30);
+    const Hierarchy h = dag ? BuildCompressed(RandomDag(n, graph_rng, 0.5))
+                            : MustBuild(RandomTree(n, graph_rng));
     const Distribution dist =
         MustDist(RandomWeights(h.NumNodes(), rng, 50, 0.2));
     ObservedFoldHarness fold(h, dist);

@@ -251,10 +251,8 @@ TEST(SessionMemory, DagSessionsHoldAConstantFewHundredBytes) {
   // A session keeps its root, a few yes nodes and its no nodes; the O(n/64)
   // candidate view lives in the planning thread's scratch. So the bound is
   // one constant, independent of n, after 1 answer and after 10.
-  ReachabilityOptions compressed;
-  compressed.closure = ReachabilityOptions::Closure::kCompressed;
-  const Hierarchy h = *Hierarchy::Build(
-      GenerateCatalogDag(BigCatalogParams(100'000)), compressed);
+  const Hierarchy h =
+      *Hierarchy::Build(GenerateCatalogDag(BigCatalogParams(100'000)));
   ASSERT_EQ(h.reach().storage(),
             ReachabilityIndex::Storage::kCompressedClosure);
   const std::size_t n = h.NumNodes();
