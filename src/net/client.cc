@@ -1,5 +1,9 @@
 #include "net/client.h"
 
+#include <sys/socket.h>
+
+#include <cerrno>
+#include <cstring>
 #include <utility>
 
 namespace aigs::net {
@@ -11,6 +15,10 @@ AigsClient& AigsClient::operator=(AigsClient&& other) noexcept {
     endpoint_ = std::move(other.endpoint_);
     options_ = other.options_;
     read_buffer_ = std::move(other.read_buffer_);
+    poll_window_ = other.poll_window_;
+    polled_waits_ = other.polled_waits_;
+    parked_waits_ = other.parked_waits_;
+    poll_ns_ = other.poll_ns_;
   }
   return *this;
 }
@@ -21,6 +29,7 @@ Status AigsClient::Connect(const Endpoint& endpoint, ClientOptions options) {
   AIGS_ASSIGN_OR_RETURN(fd_, DialTcp(endpoint, options.connect_timeout_ms));
   endpoint_ = endpoint;
   options_ = options;
+  poll_window_ = std::chrono::nanoseconds(0);
   return Status::OK();
 }
 
@@ -70,7 +79,25 @@ StatusOr<WireResponse> AigsClient::Call(const WireRequest& request) {
       return response;
     }
     char buffer[16384];
-    auto received = RecvSome(fd_, buffer, sizeof(buffer));
+    StatusOr<std::size_t> received = std::size_t{0};
+    const PollWait wait = PollThenPark(
+        &poll_window_,
+        [&] {
+          const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), MSG_DONTWAIT);
+          if (n >= 0) {
+            received = static_cast<std::size_t>(n);
+            return true;
+          }
+          if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+            return false;
+          }
+          received = Status::IOError(std::string("recv: ") +
+                                     std::strerror(errno));
+          return true;
+        },
+        [&] { received = RecvSome(fd_, buffer, sizeof(buffer)); });
+    poll_ns_ += static_cast<std::uint64_t>(wait.poll_time.count());
+    ++(wait.polled ? polled_waits_ : parked_waits_);
     if (!received.ok()) {
       Disconnect();
       return received.status();

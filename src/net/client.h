@@ -7,6 +7,7 @@
 #ifndef AIGS_NET_CLIENT_H_
 #define AIGS_NET_CLIENT_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -56,11 +57,23 @@ class AigsClient {
   Status Close(SessionId id);
   StatusOr<WireStats> Stats();
 
-  /// One raw round trip: send the request frame, block for the response
-  /// frame. Transport and framing failures are IOError (and poison the
-  /// connection); a service error arrives as an OK round trip whose
-  /// response carries the non-OK code.
+  /// One raw round trip: send the request frame, then wait for the response
+  /// frame the way the server waits for requests (net_util.h's
+  /// PollThenPark): poll a non-blocking recv for an adaptive window,
+  /// yielding the CPU between tries, then block in recv. A peer that takes
+  /// longer than kSpinMax to reply shrinks the window to 0, so a client of
+  /// a slow server parks at once. Transport and framing failures are
+  /// IOError (and poison the connection); a service error arrives as an OK
+  /// round trip whose response carries the non-OK code.
   StatusOr<WireResponse> Call(const WireRequest& request);
+
+  /// Poll-window counters since construction, counted as AigsServer
+  /// counts its own: waits whose bytes arrived while the client was still
+  /// polling, waits that parked in a blocking recv, and total time spent
+  /// polling.
+  std::uint64_t polled_waits() const { return polled_waits_; }
+  std::uint64_t parked_waits() const { return parked_waits_; }
+  std::uint64_t poll_ns() const { return poll_ns_; }
 
  private:
   int fd_ = -1;
@@ -68,6 +81,10 @@ class AigsClient {
   ClientOptions options_;
   /// Bytes received past the last extracted frame (pipelined leftovers).
   std::string read_buffer_;
+  std::chrono::nanoseconds poll_window_{0};
+  std::uint64_t polled_waits_ = 0;
+  std::uint64_t parked_waits_ = 0;
+  std::uint64_t poll_ns_ = 0;
 };
 
 }  // namespace aigs::net

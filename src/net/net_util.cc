@@ -8,10 +8,24 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
 namespace aigs::net {
+
+std::chrono::nanoseconds NextPollWindow(std::chrono::nanoseconds window,
+                                        std::chrono::nanoseconds waited) {
+  if (waited > kSpinMax) {
+    window /= 2;
+    return window < kSpinStart ? std::chrono::nanoseconds(0) : window;
+  }
+  if (waited > window) {
+    return std::clamp(window * 2, kSpinStart, kSpinMax);
+  }
+  return window;
+}
+
 namespace {
 
 Status Errno(const std::string& what) {

@@ -1,11 +1,16 @@
 // Thin POSIX socket helpers shared by the server, the blocking client, and
-// the load generator: endpoint parsing, EINTR-safe I/O, and fd options.
+// the load generator: endpoint parsing, EINTR-safe I/O, fd options, and the
+// poll-before-park rule both ends of a round trip wait by.
 // Everything returns Status — a refused connection or a dropped peer is a
 // typed error, never an abort (and never a SIGPIPE: all sends pass
 // MSG_NOSIGNAL, and the entry points also call IgnoreSigpipe()).
 #ifndef AIGS_NET_NET_UTIL_H_
 #define AIGS_NET_NET_UTIL_H_
 
+#include <sched.h>
+
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -13,6 +18,66 @@
 #include "util/status.h"
 
 namespace aigs::net {
+
+/// The poll window both ends of a round trip use: before parking in a
+/// blocking call, a waiter polls for up to this long, so a reply or request
+/// that lands within the window never pays a sleep and a wake-up. kSpinMax
+/// must cover the other end's turnaround (its work plus, when it parked,
+/// its own wake-up).
+inline constexpr std::chrono::nanoseconds kSpinStart{8'000};
+inline constexpr std::chrono::nanoseconds kSpinMax{64'000};
+
+/// Sizes the next window from how long the last wait lasted, as the
+/// kernel's cpuidle haltpoll governor does: a wait longer than kSpinMax
+/// halves the window (to 0 below kSpinStart, so an idle or slow peer's
+/// waiter parks at once); a wait that outlasted the window but not
+/// kSpinMax doubles it.
+std::chrono::nanoseconds NextPollWindow(std::chrono::nanoseconds window,
+                                        std::chrono::nanoseconds waited);
+
+/// How one PollThenPark wait ended.
+struct PollWait {
+  /// Whether `try_ready` succeeded inside the window (else the wait parked).
+  bool polled = false;
+  /// Time spent polling, at most the window (0 when the window was 0): a
+  /// yield that hands the CPU to another thread past the window's end
+  /// gives that time away rather than polling through it.
+  std::chrono::nanoseconds poll_time{0};
+  /// When the wait ended.
+  std::chrono::steady_clock::time_point woke;
+};
+
+/// One wait: retries the non-blocking probe `try_ready()` (true = ready)
+/// until `*window` ends, giving the CPU away with sched_yield() after every
+/// empty try, so a peer sharing the core gets to answer; if nothing came,
+/// calls the blocking `park()`. Then sets `*window` by NextPollWindow.
+template <typename TryReady, typename Park>
+PollWait PollThenPark(std::chrono::nanoseconds* window, TryReady&& try_ready,
+                      Park&& park) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
+  PollWait wait;
+  wait.woke = start;
+  if (window->count() > 0) {
+    const Clock::time_point end = start + *window;
+    for (;;) {
+      wait.polled = try_ready();
+      wait.woke = Clock::now();
+      if (wait.polled || wait.woke >= end) {
+        break;
+      }
+      sched_yield();
+    }
+    wait.poll_time = std::min<std::chrono::nanoseconds>(wait.woke - start,
+                                                        *window);
+  }
+  if (!wait.polled) {
+    park();
+    wait.woke = Clock::now();
+  }
+  *window = NextPollWindow(*window, wait.woke - start);
+  return wait;
+}
 
 /// A "host:port" pair. Only IPv4 dotted quads and "localhost" are resolved
 /// — the loopback bench and shard configs never need DNS.

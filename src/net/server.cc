@@ -19,29 +19,6 @@ using Clock = std::chrono::steady_clock;
 using std::chrono::nanoseconds;
 using namespace std::chrono_literals;
 
-/// The worker's poll window: before parking in a blocking epoll_wait it
-/// polls for up to this long, so a connection whose next request lands
-/// within the window never pays a sleep and a wake-up. kSpinMax must
-/// cover a client's turnaround (its own ~9 µs wake-up plus its work).
-constexpr nanoseconds kSpinStart = 8us;
-constexpr nanoseconds kSpinMax = 64us;
-
-/// Sizes the next window from how long the last wait lasted, as the
-/// kernel's cpuidle haltpoll governor does: a wait longer than kSpinMax
-/// halves the window (to 0 below kSpinStart, so an idle or lightly loaded
-/// worker parks at once); a wait that outlasted the window but not
-/// kSpinMax doubles it.
-nanoseconds NextPollWindow(nanoseconds window, nanoseconds waited) {
-  if (waited > kSpinMax) {
-    window /= 2;
-    return window < kSpinStart ? 0ns : window;
-  }
-  if (waited > window) {
-    return std::clamp(window * 2, kSpinStart, kSpinMax);
-  }
-  return window;
-}
-
 }  // namespace
 
 /// One accepted connection, owned by exactly one worker.
@@ -324,29 +301,18 @@ void AigsServer::WorkerLoop(Worker& worker) {
 
   while (running_.load(std::memory_order_acquire)) {
     epoll_event events[64];
-    const auto wait_start = Clock::now();
-    auto woke = wait_start;
     int n = 0;
-    if (poll_window > 0ns) {
-      const auto poll_end = wait_start + poll_window;
-      do {
-        n = ::epoll_wait(worker.epoll_fd, events, 64, 0);
-        woke = Clock::now();
-      } while (n == 0 && woke < poll_end);
-      worker.poll_ns.fetch_add(
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<nanoseconds>(woke - wait_start)
-                  .count()),
-          std::memory_order_relaxed);
-    }
-    if (n == 0) {
-      n = ::epoll_wait(worker.epoll_fd, events, 64, wait_ms);
-      woke = Clock::now();
-      worker.parked_waits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      worker.polled_waits.fetch_add(1, std::memory_order_relaxed);
-    }
-    poll_window = NextPollWindow(poll_window, woke - wait_start);
+    const PollWait wait = PollThenPark(
+        &poll_window,
+        [&] {
+          n = ::epoll_wait(worker.epoll_fd, events, 64, 0);
+          return n > 0;
+        },
+        [&] { n = ::epoll_wait(worker.epoll_fd, events, 64, wait_ms); });
+    worker.poll_ns.fetch_add(static_cast<std::uint64_t>(wait.poll_time.count()),
+                             std::memory_order_relaxed);
+    (wait.polled ? worker.polled_waits : worker.parked_waits)
+        .fetch_add(1, std::memory_order_relaxed);
     if (n < 0 && errno != EINTR) {
       break;
     }
@@ -389,13 +355,20 @@ void AigsServer::WorkerLoop(Worker& worker) {
         }
       }
       if ((events[i].events & EPOLLIN) != 0) {
-        conn.last_active = woke;
+        conn.last_active = wait.woke;
         bool closed = false;
         char buffer[16384];
         for (;;) {
           const ssize_t r = ::recv(fd, buffer, sizeof(buffer), 0);
           if (r > 0) {
             conn.read_buffer.append(buffer, static_cast<std::size_t>(r));
+            // A short read emptied the socket: the set is level-triggered,
+            // so later bytes (or EOF) show on the next wait, and a second
+            // recv that only fails with EAGAIN would cost a syscall per
+            // request.
+            if (static_cast<std::size_t>(r) < sizeof(buffer)) {
+              break;
+            }
             continue;
           }
           if (r == 0) {

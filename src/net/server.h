@@ -4,8 +4,9 @@
 // fds, read/write buffers, and idle clocks), so no per-request lock is
 // shared between workers — the Engine's own thread safety is the only
 // synchronization on the hot path. A worker polls its epoll set for a
-// short adaptive window before it parks (server.cc), so back-to-back
-// requests on a busy worker skip the sleep and the wake-up.
+// short adaptive window before it parks, yielding the CPU between polls
+// (net_util.h's PollThenPark, the rule AigsClient waits by too), so
+// back-to-back requests on a busy worker skip the sleep and the wake-up.
 //
 // Protocol: aigs-wire/1 (net/wire.h), one request frame in, one response
 // frame out, pipelining allowed (a client may send several requests before

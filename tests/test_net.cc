@@ -5,6 +5,8 @@
 // traffic counters, and the loadgen driver.
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <sched.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -33,6 +35,7 @@
 #include "service/engine.h"
 #include "tests/test_support.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace aigs::net {
 namespace {
@@ -467,6 +470,42 @@ TEST(ServerClient, FullSessionLifecycleOverTheWire) {
   EXPECT_TRUE(client.Close(*open2).ok());
 }
 
+/// Reads response frames from `fd` until `want` have arrived, failing on
+/// EOF or error; returns how many arrived.
+int ReadResponses(int fd, int want, WireOp op) {
+  std::string received;
+  char buffer[4096];
+  int frames = 0;
+  while (frames < want) {
+    auto n = RecvSome(fd, buffer, sizeof(buffer));
+    EXPECT_TRUE(n.ok());
+    if (!n.ok() || *n == 0) {
+      ADD_FAILURE() << "server closed before all responses arrived";
+      return frames;
+    }
+    received.append(buffer, *n);
+    std::string_view payload;
+    std::size_t consumed = 0;
+    while (ExtractFrame(received, &payload, &consumed, nullptr) ==
+           FrameStatus::kFrame) {
+      WireResponse response;
+      EXPECT_TRUE(DecodeResponsePayload(payload, &response).ok());
+      EXPECT_EQ(response.op, op);
+      EXPECT_TRUE(response.ok());
+      received.erase(0, consumed);
+      ++frames;
+    }
+  }
+  EXPECT_TRUE(received.empty()) << "bytes past the last frame";
+  return frames;
+}
+
+/// Whether `fd` has bytes to read within `timeout`.
+bool ReadableWithin(int fd, std::chrono::milliseconds timeout) {
+  pollfd pfd{fd, POLLIN, 0};
+  return ::poll(&pfd, 1, static_cast<int>(timeout.count())) > 0;
+}
+
 TEST(ServerClient, PipelinedRequestsAnswerInOrder) {
   const Hierarchy h = TestHierarchy();
   Backend backend(h);
@@ -488,26 +527,43 @@ TEST(ServerClient, PipelinedRequestsAnswerInOrder) {
     burst += EncodeRequest(ask);
   }
   ASSERT_TRUE(SendAll(*fd, burst).ok());
-  std::string received;
-  char buffer[4096];
-  int frames = 0;
-  while (frames < 3) {
-    auto n = RecvSome(*fd, buffer, sizeof(buffer));
-    ASSERT_TRUE(n.ok());
-    ASSERT_GT(*n, 0u) << "server closed before all responses arrived";
-    received.append(buffer, *n);
-    std::string_view payload;
-    std::size_t consumed = 0;
-    while (ExtractFrame(received, &payload, &consumed, nullptr) ==
-           FrameStatus::kFrame) {
-      WireResponse response;
-      ASSERT_TRUE(DecodeResponsePayload(payload, &response).ok());
-      EXPECT_EQ(response.op, WireOp::kAsk);
-      EXPECT_TRUE(response.ok());
-      received.erase(0, consumed);
-      ++frames;
-    }
-  }
+  EXPECT_EQ(ReadResponses(*fd, 3, WireOp::kAsk), 3);
+  CloseFd(*fd);
+}
+
+TEST(ServerClient, FrameSplitAcrossTwoSendsIsAnsweredOnce) {
+  const Hierarchy h = TestHierarchy();
+  Backend backend(h);
+
+  AigsClient client;
+  ASSERT_TRUE(client.Connect(backend.server.endpoint()).ok());
+  auto id = client.Open("greedy");
+  ASSERT_TRUE(id.ok());
+  client.Disconnect();
+
+  // The worker reads the first half with a short recv and stops; the
+  // second half re-arms the level-triggered EPOLLIN and completes it.
+  auto fd = DialTcp(backend.server.endpoint(), 2000);
+  ASSERT_TRUE(fd.ok());
+  // A lost second half fails the read instead of hanging it.
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ASSERT_EQ(::setsockopt(*fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  WireRequest ask;
+  ask.op = WireOp::kAsk;
+  ask.id = *id;
+  const std::string frame = EncodeRequest(ask);
+  const std::size_t half = frame.size() / 2;
+  ASSERT_TRUE(SendAll(*fd, frame.substr(0, half)).ok());
+  std::this_thread::sleep_for(5ms);
+  ASSERT_TRUE(SendAll(*fd, frame.substr(half)).ok());
+  EXPECT_EQ(ReadResponses(*fd, 1, WireOp::kAsk), 1);
+  EXPECT_FALSE(ReadableWithin(*fd, 50ms)) << "answered more than once";
+  // The connection still serves whole frames after the split one.
+  ASSERT_TRUE(SendAll(*fd, frame).ok());
+  EXPECT_EQ(ReadResponses(*fd, 1, WireOp::kAsk), 1);
   CloseFd(*fd);
 }
 
@@ -699,8 +755,9 @@ TEST(ServerClient, StopFlushesTheDurableStore) {
 
 // ---- worker poll window + acceptor backoff: CPU bounds ----------------------
 
-/// The server's kSpinStart: the shortest nonzero poll window.
-constexpr std::uint64_t kSpinStartNs = 8'000;
+/// kSpinStart, the shortest nonzero poll window, in nanoseconds.
+constexpr std::uint64_t kSpinStartNs =
+    static_cast<std::uint64_t>(kSpinStart.count());
 
 /// User + system CPU time of the whole process, every server thread
 /// included.
@@ -773,6 +830,177 @@ TEST(PollWindow, PacedRequestsParkAndPollBriefly) {
 #else
   (void)poll_ns;
 #endif
+}
+
+/// A raw-socket peer that answers each request frame with an empty OK
+/// response of the same op, `delay` after the frame arrived: a slow server.
+class SlowPeer {
+ public:
+  explicit SlowPeer(std::chrono::milliseconds delay) {
+    auto fd = ListenTcp({"127.0.0.1", 0}, 4, &port_);
+    EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    listen_fd_ = fd.ok() ? *fd : -1;
+    thread_ = std::thread([this, delay] { Serve(delay); });
+  }
+  ~SlowPeer() {
+    // Wakes an accept that never got a connection; a served peer has
+    // already left when its client disconnected.
+    (void)::shutdown(listen_fd_, SHUT_RDWR);
+    thread_.join();
+    CloseFd(listen_fd_);
+  }
+  SlowPeer(const SlowPeer&) = delete;
+  SlowPeer& operator=(const SlowPeer&) = delete;
+
+  Endpoint endpoint() const { return {"127.0.0.1", port_}; }
+
+ private:
+  void Serve(std::chrono::milliseconds delay) {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) {
+      return;
+    }
+    std::string received;
+    char buffer[4096];
+    for (;;) {
+      auto n = RecvSome(fd, buffer, sizeof(buffer));
+      if (!n.ok() || *n == 0) {
+        break;
+      }
+      received.append(buffer, *n);
+      std::string_view payload;
+      std::size_t consumed = 0;
+      while (ExtractFrame(received, &payload, &consumed, nullptr) ==
+             FrameStatus::kFrame) {
+        WireRequest request;
+        (void)DecodeRequestPayload(payload, &request);
+        received.erase(0, consumed);
+        std::this_thread::sleep_for(delay);
+        WireResponse response;
+        response.op = request.op;
+        (void)SendAll(fd, EncodeResponse(response));
+      }
+    }
+    CloseFd(fd);
+  }
+
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+TEST(PollWindow, ClientParksOnASlowServer) {
+  SlowPeer peer(2ms);
+  AigsClient client;
+  ASSERT_TRUE(client.Connect(peer.endpoint()).ok());
+  constexpr std::uint64_t kCalls = 100;
+  for (std::uint64_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(client.Ask(1).ok());
+  }
+  // Every call ended a wait of its own.
+  EXPECT_GE(client.polled_waits() + client.parked_waits(), kCalls);
+  // A 2 ms reply halves the window on every call, so it stays 0 and the
+  // client parks at once: far below the kSpinMax (64 µs) a fixed window
+  // would poll away on every call.
+  EXPECT_LE(client.poll_ns() / kCalls, kSpinStartNs);
+  EXPECT_GT(client.parked_waits(), client.polled_waits());
+  client.Disconnect();
+}
+
+TEST(PollWindow, ClientPollsInAClosedLoop) {
+#ifdef AIGS_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer slowdowns stretch replies past the window";
+#endif
+  const Hierarchy h = TestHierarchy();
+  Backend backend(h);
+
+  AigsClient client;
+  ASSERT_TRUE(client.Connect(backend.server.endpoint()).ok());
+  auto id = client.Open("greedy");
+  ASSERT_TRUE(id.ok());
+  for (int i = 0; i < 4000; ++i) {
+    ASSERT_TRUE(client.Ask(*id).ok());
+  }
+  // A polling server answers within the client's window.
+  EXPECT_GT(client.polled_waits(), 0u);
+}
+
+/// Pins the calling thread, and every thread it starts, to the first CPU
+/// in its affinity mask; the destructor restores the mask.
+class PinnedToOneCpu {
+ public:
+  PinnedToOneCpu() {
+    CPU_ZERO(&saved_);
+    if (::sched_getaffinity(0, sizeof(saved_), &saved_) != 0) {
+      return;
+    }
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        cpu_set_t one{};
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        pinned_ = ::sched_setaffinity(0, sizeof(one), &one) == 0;
+        return;
+      }
+    }
+  }
+  ~PinnedToOneCpu() {
+    if (pinned_) {
+      (void)::sched_setaffinity(0, sizeof(saved_), &saved_);
+    }
+  }
+  PinnedToOneCpu(const PinnedToOneCpu&) = delete;
+  PinnedToOneCpu& operator=(const PinnedToOneCpu&) = delete;
+
+  bool pinned() const { return pinned_; }
+
+ private:
+  cpu_set_t saved_{};
+  bool pinned_ = false;
+};
+
+/// On a 4-vCPU VM the best round read 15–28 ms under ctest -j4, and
+/// 114–124 ms with a client that polls without yielding.
+constexpr std::chrono::milliseconds kOneCpuBound{60};
+
+TEST(PollWindow, PollingEndsGiveWayOnOneCpu) {
+#ifdef AIGS_TEST_SANITIZED
+  GTEST_SKIP() << "a wall-time bound";
+#endif
+  const Hierarchy h = TestHierarchy();
+  // The default pool lives for the whole binary: create it unpinned.
+  (void)ThreadPool::Default();
+  std::chrono::steady_clock::duration took{};
+  {
+    PinnedToOneCpu pin;
+    ASSERT_TRUE(pin.pinned());
+    // Started pinned, so the server's threads share the client's CPU.
+    Backend backend(h);
+    AigsClient client;
+    ASSERT_TRUE(client.Connect(backend.server.endpoint()).ok());
+    auto id = client.Open("greedy");
+    ASSERT_TRUE(id.ok());
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(client.Ask(*id).ok());
+    }
+    // Best of a few rounds: a test process that lands on the same CPU for
+    // a while (ctest -j) slows a round without saying anything about the
+    // two ends, and a yield hands such a process a whole time slice.
+    took = std::chrono::steady_clock::duration::max();
+    for (int round = 0; round < 5; ++round) {
+      const auto start = std::chrono::steady_clock::now();
+      for (int i = 0; i < 2000; ++i) {
+        ASSERT_TRUE(client.Ask(*id).ok());
+      }
+      took = std::min(took, std::chrono::steady_clock::now() - start);
+    }
+  }
+  // Each end yields between polls, so the other runs at once; a client
+  // that spun through its window would hold the only CPU the server could
+  // answer on.
+  EXPECT_LT(took, kOneCpuBound)
+      << std::chrono::duration_cast<std::chrono::microseconds>(took).count()
+      << " us";
 }
 
 TEST(PollWindow, StopReturnsPromptlyMidBurst) {
