@@ -1226,19 +1226,15 @@ Status LifecycleRollingKeys(SuiteContext& ctx) {
     // every Ask hashes all O(depth) bytes of it under the stripe lock.
     LegacyStringStripe flat;
     std::string string_key = "greedy\n";
-    PlanCacheOptions options;
-    options.max_depth = depth + 1;
-    PlanCache cache(options);
+    PlanCache cache(PlanCacheOptions{});
     PlanPrefixId id = cache.RootFor("greedy");
     for (std::size_t i = 0; i < depth; ++i) {
       TranscriptStep step;
       step.kind = Query::Kind::kReach;
       step.nodes = {static_cast<NodeId>(i)};
       step.yes = (i & 1) != 0;
-      std::string edge;
-      SessionCodec::AppendStepKey(step, &edge);
-      string_key += edge;
-      id = cache.Advance(id, edge);
+      SessionCodec::AppendStepKey(step, &string_key);
+      id = cache.Advance(id, *PlanCache::EdgeOf(step));
     }
     flat.Insert(string_key, Query::ReachQuery(1));
     cache.Insert(id, Query::ReachQuery(1));

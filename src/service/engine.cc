@@ -373,6 +373,50 @@ Status ApplyMatchedStep(SearchSession& search, const TranscriptStep& step) {
   return Status::Internal("unreachable");
 }
 
+/// The question at the session's trie position: the memoized one when an
+/// Ask or a replay already planned this prefix, else the planner's,
+/// memoized for every later session there. Only Asks (`counted`) score
+/// hits and misses. (The candidate-state policies then skip the planner
+/// entirely; the phase-automata baselines still settle their derived state
+/// inside the applier — their planners are O(children) cheap, and the trie
+/// exists for the expensive middle-point planners.)
+Query PlanThroughTrie(ServiceSession& session, bool counted) {
+  PlanCache* cache = session.plan_cache.get();
+  if (cache == nullptr) {
+    return session.search->Next();
+  }
+  std::optional<Query> hit =
+      session.has_plan_edge
+          ? cache->LookupChild(&session.plan_prefix, session.plan_edge,
+                               counted)
+          : cache->Lookup(session.plan_prefix, counted);
+  session.has_plan_edge = false;
+  if (hit.has_value()) {
+    return *std::move(hit);
+  }
+  Query query = session.search->Next();
+  cache->Insert(session.plan_prefix, query);
+  return query;
+}
+
+/// Moves the session's rolling plan key along the edge `step` answered; the
+/// next PlanThroughTrie interns it. A step without an edge — a diverged
+/// replay step, or a batch too wide for the code — leaves the trie for the
+/// rest of the session.
+void AdvancePlanPrefix(ServiceSession& session, const TranscriptStep& step) {
+  AIGS_DCHECK(!session.has_plan_edge);  // every step was planned
+  if (session.plan_prefix == kNoPlanPrefix) {
+    return;
+  }
+  const std::optional<std::uint32_t> edge = PlanCache::EdgeOf(step);
+  if (!edge.has_value()) {
+    session.plan_prefix = kNoPlanPrefix;
+    return;
+  }
+  session.plan_edge = *edge;
+  session.has_plan_edge = true;
+}
+
 /// The session's complete serializable state (Save, WAL open records, and
 /// checkpoint blobs all encode exactly this). Caller holds the session
 /// mutex (or the session is still private).
@@ -580,35 +624,11 @@ StatusOr<std::shared_ptr<ServiceSession>> Engine::FindSession(SessionId id) {
 }
 
 Query Engine::ResolvePending(ServiceSession& session) {
-  if (session.has_pending) {
-    return session.pending;
+  if (!session.has_pending) {
+    session.pending = PlanThroughTrie(session, /*counted=*/true);
+    session.has_pending = true;
   }
-  Query query;
-  PlanCache* cache = session.plan_cache.get();
-  if (cache != nullptr &&
-      session.transcript.size() > cache->options().max_depth) {
-    cache->CountBypass();  // deep prefixes skip the trie; the planner runs
-    cache = nullptr;
-  }
-  if (cache != nullptr) {
-    if (std::optional<Query> hit = cache->Lookup(session.plan_prefix)) {
-      // Warm path: the question was planned once by some session at this
-      // (policy, transcript) prefix — by an Ask or a transcript replay —
-      // so Ask skips the planner here. (The candidate-state policies skip it
-      // entirely; the phase-automata baselines still settle their derived
-      // state inside the applier — their planners are O(children) cheap,
-      // and the cache exists for the expensive middle-point planners.)
-      query = *std::move(hit);
-    } else {
-      query = session.search->Next();
-      cache->Insert(session.plan_prefix, query);
-    }
-  } else {
-    query = session.search->Next();
-  }
-  session.pending = query;
-  session.has_pending = true;
-  return query;
+  return session.pending;
 }
 
 StatusOr<Query> Engine::AskImpl(SessionId id) {
@@ -692,16 +712,9 @@ Status Engine::AnswerLocked(SessionId id, ServiceSession& session_ref,
     case Query::Kind::kDone:
       AIGS_CHECK(false);  // handled above
   }
-  // Advance the rolling plan key by this step's trie edge (one O(edge)
-  // intern, depth-independent) and drop the consumed plan. Past the depth
-  // cap the key is never read again, so stop maintaining it.
-  if (session->plan_cache != nullptr &&
-      session->transcript.size() < session->plan_cache->options().max_depth) {
-    std::string edge;
-    SessionCodec::AppendStepKey(step, &edge);
-    session->plan_prefix =
-        session->plan_cache->Advance(session->plan_prefix, edge);
-  }
+  // The step answers the question resolved at this prefix, so its answer
+  // names the child; the consumed plan is dropped.
+  AdvancePlanPrefix(*session, step);
   session->has_pending = false;
   session->transcript.push_back(std::move(step));
   if (DurableStore* store = durable_.load(std::memory_order_acquire)) {
@@ -732,16 +745,9 @@ Status Engine::ReplayTranscript(ServiceSession& session,
   for (std::size_t i = 0; i < steps.size(); ++i) {
     TranscriptStep& step = steps[i];
     AIGS_RETURN_NOT_OK(ValidateStepShape(step, num_nodes, i));
-    const Query planned = session.search->Next();
-    // The replay already paid the planner; memoize its answer so restores
-    // and migrations warm the trie exactly like Ask's miss path would.
-    // Sound even past a divergence: the trie key is the actual transcript
-    // prefix, and the planner is a pure function of it.
-    if (session.plan_cache != nullptr &&
-        session.transcript.size() <=
-            session.plan_cache->options().max_depth) {
-      session.plan_cache->Insert(session.plan_prefix, planned);
-    }
+    // Replays plan through the trie like Asks: a prefix some session
+    // already planned costs one probe, and a miss warms it for the rest.
+    const Query planned = PlanThroughTrie(session, /*counted=*/false);
     if (QuestionMatchesStep(planned, step)) {
       step.diverged = false;  // this epoch's planner reproduces it after all
       AIGS_RETURN_NOT_OK(ApplyMatchedStep(*session.search, step));
@@ -768,14 +774,8 @@ Status Engine::ReplayTranscript(ServiceSession& session,
       // answer through the policy's observed-step applier instead.
       AIGS_RETURN_NOT_OK(session.search->TryApplyObserved(step));
     }
-    if (session.plan_cache != nullptr &&
-        session.transcript.size() <
-            session.plan_cache->options().max_depth) {
-      std::string edge;
-      SessionCodec::AppendStepKey(step, &edge);
-      session.plan_prefix =
-          session.plan_cache->Advance(session.plan_prefix, edge);
-    }
+    // A diverged step did not answer `planned`: the session leaves the trie.
+    AdvancePlanPrefix(session, step);
     session.transcript.push_back(std::move(step));
   }
   if (divergent_steps != nullptr) {
@@ -934,6 +934,8 @@ StatusOr<MigrateResult> Engine::MigrateLocked(SessionId id,
   session.search = std::move(fresh.search);
   session.transcript = std::move(fresh.transcript);
   session.plan_prefix = fresh.plan_prefix;
+  session.has_plan_edge = fresh.has_plan_edge;
+  session.plan_edge = fresh.plan_edge;
   session.has_pending = false;
   // A question the client already saw may differ on the new epoch; force a
   // re-Ask instead of silently applying their answer to a new question.

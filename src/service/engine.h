@@ -19,9 +19,10 @@
 // through the policies' observed-step appliers
 // (SearchSession::TryApplyObserved) and flagged, bounded by a configurable
 // divergence budget. Sessions that cannot migrate (budget exceeded, client
-// mid-question) stay safely on their old epoch. Each replay also inserts
-// the questions it re-plans into the new epoch's plan trie, so the sweep
-// refills the trie the swap started empty.
+// mid-question) stay safely on their old epoch. Each replay plans through
+// the new epoch's plan trie — a prefix already there costs one probe, a
+// missing one is planned and inserted — so the sweep refills the trie the
+// swap started empty.
 //
 // The sweep runs only on the engine's EpochDrainWorker. Publish builds the
 // snapshot without blocking Open or Stats, swaps it in under a short lock,
@@ -475,7 +476,8 @@ class Engine {
   Query ResolvePending(ServiceSession& session);
 
   /// Replays `steps` into the freshly built `session` (search state,
-  /// transcript, rolling plan key, trie population). In kTolerant mode
+  /// transcript, rolling plan key, trie population), taking each planned
+  /// question from the trie when present. In kTolerant mode
   /// divergent steps are folded via TryApplyObserved and flagged; more
   /// than `max_divergence` of them fails the replay. `session` must be
   /// private to the caller (no lock taken).

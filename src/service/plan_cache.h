@@ -8,46 +8,49 @@
 // ONCE per distinct prefix — every other session can read the memoized
 // question. That is what this cache does: it memoizes the pure planner
 // (SearchSession::PlanQuestion) per (policy spec, transcript prefix) so the
-// common-prefix hot path of Engine::Ask degenerates to one hash probe.
+// common-prefix hot path of Engine::Ask degenerates to one id probe.
 //
-// Shape. The cache is a trie over answer transcripts: the root of each
-// policy spec is the empty transcript, an edge is one answered question
-// (encoded exactly as the SessionCodec transcript line — "reach 5 y",
-// "batch 1+2 yn", ...), and each node memoizes the question the policy asks
-// at that prefix. Nodes are INTERNED: `Advance(parent, edge)` assigns each
-// distinct (parent id, edge line) pair a PlanPrefixId, and a session keeps
-// only its current id — the O(1) rolling plan key. The hot-path Lookup
-// hashes one 64-bit id instead of re-hashing an O(depth) concatenated key
-// string (the PR-4 scheme this replaces); per-answer maintenance is one
-// O(edge) intern probe, independent of depth. Interning compares full edge
-// strings under the parent id, so two different transcripts can never
-// share an id — cached and uncached transcript equality stays bit-exact,
-// no rolling-hash collision caveats.
+// Shape. The cache is the policy's decision tree, grown on demand: the root
+// of each policy spec is the empty transcript, each node memoizes the
+// question the policy asks at that prefix, and an edge is one ANSWER to that
+// question. Because a node's question is fixed, the answer alone names the
+// child: `Advance(parent, answer code)` (reach → the yes bit, choice →
+// choice + 1, batch → the answer bitmask) assigns each distinct pair a
+// PlanPrefixId, and a session keeps only its current id — the O(1) rolling
+// plan key. This is sound only while every step a session takes answers the
+// question planned or looked up at its parent; a diverged replay step
+// (folded in observed, not planned) or a batch wider than the code has no
+// edge, and the session leaves the trie (kNoPlanPrefix) until it ends or
+// migrates again. Interning compares full (parent id, answer) keys, so two
+// different transcripts never share an id and cached and uncached
+// transcripts stay bit-exact.
 //
 // Lifecycle. An Engine creates one PlanCache per published CatalogSnapshot
 // and hands each session the cache of the epoch it opened on. An epoch
 // hot-swap stops handing out the old trie: it dies with its snapshot's
-// refcount as sessions drain or migrate off it. The fresh trie fills only
-// as planner runs insert what they plan: Ask misses, and the transcript
-// replays of the drain worker's idle-session sweep, which re-plans every
-// prefix a migrated session has passed on the new snapshot. Both are
+// refcount as sessions drain or migrate off it. The fresh trie fills as
+// sessions plan through it: Ask misses, and the transcript replays of
+// Resume, Migrate and the drain worker's idle-session sweep, which look
+// each prefix up first and plan (and insert) only what is missing. All are
 // exact (Definition 6), and every method is thread-safe, so sweep replays
 // and live Asks interleave freely.
 //
-// Budgeting. Nodes live in lock stripes; a node's home stripe is chosen by
-// hashing (parent, edge), and its id encodes that stripe, so Advance,
-// Lookup, Insert, and eviction each lock exactly one stripe. Each stripe
-// owns max_bytes/num_stripes and evicts LRU nodes (plus their intern
-// entries) when an insert pushes it over. Ids are never reused: a session
-// holding an evicted id simply misses until its path is re-interned —
-// correctness never depends on residency. A depth cap keeps long-tail
-// transcripts (which nobody shares) from churning the budget.
+// Storage and budget. Nodes live in lock stripes; a child's home stripe is
+// chosen by hashing (parent, answer), and its id encodes that stripe and its
+// slot, so Advance, Lookup, Insert, and eviction each lock exactly one
+// stripe and index a flat node array — no per-node strings, and no heap
+// allocation for a reach or done question. Each stripe owns
+// max_bytes/num_stripes and evicts by CLOCK (second chance) when an insert
+// pushes it over; roots are pinned. There is no depth cap: the budget alone
+// bounds the trie. Ids are never reused (a slot's generation is part of its
+// id): a session holding an evicted id simply misses until its path is
+// re-interned — correctness never depends on residency.
 #ifndef AIGS_SERVICE_PLAN_CACHE_H_
 #define AIGS_SERVICE_PLAN_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -61,33 +64,27 @@ namespace aigs {
 
 /// Interned transcript-prefix handle — a session's O(1) rolling plan key.
 /// Never reused within one cache's lifetime; kNoPlanPrefix means "no
-/// position" (cache disabled or past the depth cap).
+/// position" (cache disabled, or the session left the trie).
 using PlanPrefixId = std::uint64_t;
 inline constexpr PlanPrefixId kNoPlanPrefix = 0;
 
 struct PlanCacheOptions {
   /// Master switch; a disabled engine never consults or populates a cache.
   bool enabled = true;
-  /// Approximate memory budget over all stripes (edges + intern entries +
-  /// memoized queries).
+  /// Memory budget over all stripes: node slots, edge-table cells, root
+  /// names and memoized choice lists.
   std::size_t max_bytes = 32u << 20;
-  /// Transcript depth (answered questions) beyond which Ask bypasses the
-  /// cache — deep prefixes are effectively unique per session, so caching
-  /// them only churns the LRU.
-  std::size_t max_depth = 16;
-  /// Lock stripes. More stripes = less contention; the budget splits evenly
-  /// across them.
+  /// Lock stripes (clamped to [1, 256]). More stripes = less contention;
+  /// the budget splits evenly across them.
   std::size_t num_stripes = 16;
 };
 
 /// Monotonic counters (hits/misses/evictions/inserts) plus a point-in-time
-/// size reading, surfaced through Engine::Stats and the serve REPL.
+/// size reading, surfaced through Engine::Stats and the serve REPL. Hits
+/// and misses count Asks only; replays fill the trie without moving them.
 struct PlanCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  /// Asks past max_depth: they skip the trie and run the planner, and
-  /// count as neither hits nor misses (hit_rate() is over lookups only).
-  std::uint64_t bypassed = 0;
   std::uint64_t evictions = 0;
   std::uint64_t inserts = 0;
   std::size_t entries = 0;
@@ -109,100 +106,134 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Interns the empty-transcript root for `policy_spec`.
+  /// The answer code of the edge an answered step walks, or nullopt when
+  /// the step has no edge and its session leaves the trie: a diverged step
+  /// (not the question planned at its parent) or a batch of more than 32
+  /// answers.
+  static std::optional<std::uint32_t> EdgeOf(const TranscriptStep& step);
+
+  /// Interns the empty-transcript root for `policy_spec` (pinned: roots are
+  /// never evicted).
   PlanPrefixId RootFor(std::string_view policy_spec);
 
-  /// Interns the child of `from` along `edge_line` (one SessionCodec step
-  /// line) and returns its id — the per-answer rolling-key update, O(edge)
-  /// regardless of depth. `from` may be an evicted id: the child is
-  /// re-interned fresh and stays correct (ids are position witnesses, not
-  /// storage addresses).
-  PlanPrefixId Advance(PlanPrefixId from, std::string_view edge_line);
+  /// Interns the child of `from` along `answer` (an EdgeOf code) and
+  /// returns its id — one rolling-key step, O(1) regardless of depth.
+  /// `from` may be an evicted id: the child is re-interned fresh and
+  /// stays correct (ids are position witnesses, not storage addresses).
+  /// kNoPlanPrefix stays kNoPlanPrefix: a session that left the trie stays
+  /// out of it.
+  PlanPrefixId Advance(PlanPrefixId from, std::uint32_t answer);
 
-  /// The memoized question at `id`, refreshing its LRU position. Counts a
-  /// hit or a miss; kNoPlanPrefix and evicted ids miss.
-  std::optional<Query> Lookup(PlanPrefixId id);
+  /// The memoized question at `id`, marking it recently used. An Ask
+  /// (`counted`) scores a hit or a miss; kNoPlanPrefix and evicted ids miss.
+  std::optional<Query> Lookup(PlanPrefixId id, bool counted = true);
 
-  /// Memoizes `query` at `id`, evicting LRU entries of the stripe while it
+  /// Advance then Lookup under one stripe lock (a child shares its edge's
+  /// stripe): moves `*at` to its child along `answer` and returns the
+  /// memoized question there. This is how a session plans after an answer,
+  /// so an Answer itself never touches the trie.
+  std::optional<Query> LookupChild(PlanPrefixId* at, std::uint32_t answer,
+                                   bool counted = true);
+
+  /// Memoizes `query` at `id`, evicting cold entries of the stripe while it
   /// is over its budget share. Re-inserting an existing id only refreshes
   /// it (determinism makes the value identical by construction).
   void Insert(PlanPrefixId id, const Query& query);
 
-  /// Counts one Ask that bypassed the trie past max_depth.
-  void CountBypass() { bypassed_.fetch_add(1, std::memory_order_relaxed); }
-
   PlanCacheStats stats() const;
-  const PlanCacheOptions& options() const { return options_; }
 
  private:
-  /// One trie node: its position witness (parent + edge), which eviction
-  /// uses to drop the intern entry, and the memoized question once some
-  /// session planned here.
+  /// One trie node in its stripe's flat array. A free slot is reused under
+  /// the next generation, so an id minted for the previous occupant misses.
   struct Node {
+    PlanPrefixId parent = kNoPlanPrefix;  // kNoPlanPrefix on a root
+    std::unique_ptr<NodeId[]> choices;    // choice and batch questions only
+    std::uint32_t generation = 0;
+    std::uint32_t answer = 0;  // the edge code from `parent`
+    std::uint32_t num_choices = 0;
+    NodeId question_node = kInvalidNode;
+    Query::Kind kind = Query::Kind::kDone;
+    bool live = false;
+    bool root = false;
+    bool planned = false;
+    bool referenced = false;  // CLOCK's second-chance bit
+  };
+  /// One open-addressing cell of a stripe's edge table (linear probing);
+  /// `slot == kEmptyCell` marks a free cell.
+  struct Edge {
     PlanPrefixId parent = kNoPlanPrefix;
-    std::string edge;
-    bool has_question = false;
-    Query question;
-    std::size_t bytes = 0;
-    std::list<PlanPrefixId>::iterator lru_it;
+    std::uint32_t answer = 0;
+    std::uint32_t slot = 0;
   };
-  /// Intern-map key; heterogeneous lookup avoids materializing a string on
-  /// the hot path.
-  struct ChildKey {
-    PlanPrefixId parent;
-    std::string edge;
-    bool operator==(const ChildKey& other) const = default;
-  };
-  struct ChildRef {
-    PlanPrefixId parent;
-    std::string_view edge;
-  };
-  struct ChildHash {
-    using is_transparent = void;
-    std::size_t operator()(const ChildKey& k) const {
-      return Mix(k.parent, k.edge);
-    }
-    std::size_t operator()(const ChildRef& k) const {
-      return Mix(k.parent, k.edge);
-    }
-    static std::size_t Mix(PlanPrefixId parent, std::string_view edge);
-  };
-  struct ChildEq {
-    using is_transparent = void;
-    bool operator()(const ChildKey& a, const ChildKey& b) const {
-      return a.parent == b.parent && a.edge == b.edge;
-    }
-    bool operator()(const ChildKey& a, const ChildRef& b) const {
-      return a.parent == b.parent && a.edge == b.edge;
-    }
-    bool operator()(const ChildRef& a, const ChildKey& b) const {
-      return a.parent == b.parent && a.edge == b.edge;
-    }
-  };
-  struct Stripe {
+  /// Cache-line aligned, so threads on neighbouring stripes do not
+  /// contend on one line.
+  struct alignas(64) Stripe {
     mutable std::mutex mutex;
-    std::unordered_map<PlanPrefixId, Node> nodes;
-    std::unordered_map<ChildKey, PlanPrefixId, ChildHash, ChildEq> children;
-    std::list<PlanPrefixId> lru;  // front = most recently used
+    std::vector<Node> nodes;
+    std::vector<std::uint32_t> free_slots;
+    std::vector<Edge> edges;  // capacity 0 or a power of two, ≤ half full
+    std::size_t num_edges = 0;
+    std::size_t live = 0;     // live nodes, roots included
+    std::size_t evictable = 0;  // live non-root nodes
     std::size_t bytes = 0;
-    std::uint64_t next_seq = 0;
+    std::size_t hand = 0;  // CLOCK hand over `nodes`
   };
 
-  /// A node's id encodes its home stripe (the stripe its (parent, edge)
-  /// hash chose), so Advance and Lookup agree on the lock without a second
-  /// table.
-  std::size_t StripeOf(PlanPrefixId id) const {
-    return static_cast<std::size_t>((id - 1) % stripes_.size());
-  }
-  void EvictOver(Stripe& stripe);
+  struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
 
-  PlanCacheOptions options_;
+  /// Id layout: generation in the high bits, then slot, then stripe; +1 so
+  /// no live id is kNoPlanPrefix.
+  static constexpr unsigned kStripeBits = 8;
+  static constexpr unsigned kSlotBits = 28;
+  static constexpr std::uint32_t kSlotLimit = 1u << kSlotBits;
+  static constexpr std::uint32_t kGenerationLimit = 1u << (64 - kSlotBits -
+                                                           kStripeBits);
+  static constexpr std::uint32_t kEmptyCell = ~std::uint32_t{0};
+  /// What every node stores: its slot and its share of an edge table kept
+  /// at most half full. A planned choice or batch question adds its list; a
+  /// root adds its name's entry in `roots_`.
+  static constexpr std::size_t kNodeBytes = sizeof(Node) + 2 * sizeof(Edge);
+
+  static PlanPrefixId MakeId(std::size_t stripe, std::uint32_t slot,
+                             std::uint32_t generation);
+  /// The live node `id` names, or nullptr (stale, foreign or never minted).
+  /// Caller holds the stripe lock.
+  static Node* Resolve(Stripe& stripe, PlanPrefixId id);
+  std::size_t StripeOf(PlanPrefixId id) const;
+
+  /// A fresh live node slot (generation already current), or kSlotLimit
+  /// when the stripe ran out of slots.
+  static std::uint32_t AllocateSlot(Stripe& stripe);
+  /// The home stripe of the child of `from` along `answer`.
+  std::size_t ChildStripe(PlanPrefixId from, std::uint32_t answer) const;
+  /// The slot of the child of `from` along `answer` in its home stripe,
+  /// interned if new, or kSlotLimit when the stripe is out of slots.
+  /// Caller holds that stripe's lock.
+  std::uint32_t InternChild(Stripe& stripe, PlanPrefixId from,
+                            std::uint32_t answer);
+  /// The question a planned node memoizes, counting a hit; or a miss.
+  std::optional<Query> QuestionAt(Node* node, bool counted);
+  static std::size_t FindEdge(const Stripe& stripe, PlanPrefixId parent,
+                              std::uint32_t answer);
+  static void InsertEdge(Stripe& stripe, PlanPrefixId parent,
+                         std::uint32_t answer, std::uint32_t slot);
+  static void EraseEdge(Stripe& stripe, std::size_t cell);
+  void EvictOver(Stripe& stripe, std::uint32_t keep);
+
   std::size_t stripe_budget_ = 0;
   std::vector<Stripe> stripes_;
 
+  std::mutex roots_mutex_;
+  std::unordered_map<std::string, PlanPrefixId, StringHash, std::equal_to<>>
+      roots_;
+
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> bypassed_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> inserts_{0};
 };

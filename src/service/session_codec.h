@@ -63,9 +63,8 @@ class SessionCodec {
 
   /// Appends the compact one-line encoding of `step` (the line Encode
   /// writes, newline-terminated, WITHOUT the divergence flag — divergence
-  /// is replay bookkeeping, not transcript content) to `*out`. The
-  /// service-layer PlanCache uses these lines as its trie edges, so cache
-  /// edges and saved transcripts share one encoding.
+  /// is replay bookkeeping, not transcript content) to `*out`. WAL step
+  /// records carry these lines.
   static void AppendStepKey(const TranscriptStep& step, std::string* out);
 
   /// Parses one step line (the AppendStepKey encoding, with or without the

@@ -59,7 +59,11 @@ struct ServiceSession {
   std::unique_ptr<SearchSession> search;
   std::vector<TranscriptStep> transcript;
   /// Interned trie position for the transcript so far — the O(1) rolling
-  /// plan key (kNoPlanPrefix when caching is off or past the depth cap).
+  /// plan key (kNoPlanPrefix when caching is off or the session left the
+  /// trie at a diverged step). While `has_plan_edge`, the position is the
+  /// child of `plan_prefix` along `plan_edge`, the last answer's code: the
+  /// next plan interns that child and reads its question under one stripe
+  /// lock (PlanCache::LookupChild), so an Answer never touches the trie.
   PlanPrefixId plan_prefix = kNoPlanPrefix;
   /// The question Ask last resolved (from the cache or the planner), so the
   /// matching Answer validates and applies without a second resolution.
@@ -69,6 +73,9 @@ struct ServiceSession {
   /// been shown: the next Answer is rejected until the client re-Asks (the
   /// new epoch's planner may pose a different question).
   bool reask_after_migration = false;
+  // Beside the flags above, so the edge fits in their padding.
+  bool has_plan_edge = false;
+  std::uint32_t plan_edge = 0;
 };
 
 struct SessionManagerOptions {

@@ -328,6 +328,82 @@ TEST(EpochMigration, ShiftedWeightsDivergeWithExactCountsAndFlags) {
   }
 }
 
+// Trie edges are keyed by answer alone, which is sound only while each step
+// answers the question planned at its parent. A diverged replay step does
+// not, so the session must leave the trie: on a trie warmed by every
+// target's search, a diverged session that stayed in it would read other
+// sessions' questions. Cached and uncached engines must ask the same
+// questions after the migration, a diverged session's later Asks all miss,
+// and an undiverged one's all hit.
+TEST(EpochMigration, DivergedSessionsLeaveTheTrieAndMatchAnUncachedEngine) {
+  const std::vector<std::string> specs = {"greedy", "greedy_naive", "naive",
+                                          "batched:k=3", "cost_sensitive"};
+  EngineOptions uncached_options;
+  uncached_options.plan_cache.enabled = false;
+  for (const MigrationCase& c : Cases()) {
+    Engine cached;
+    Engine uncached(uncached_options);
+    std::size_t diverged_sessions = 0;
+    for (const std::string& spec : specs) {
+      SCOPED_TRACE(c.name + "/" + spec);
+      ASSERT_TRUE(cached.Publish(ConfigFor(c)).ok());
+      std::vector<std::pair<NodeId, std::string>> blobs;
+      for (NodeId target = 0; target < c.hierarchy.NumNodes(); target += 3) {
+        ExactOracle oracle(c.hierarchy.reach(), target);
+        auto id = cached.Open(spec);
+        ASSERT_TRUE(id.ok());
+        Drive(cached, *id, oracle, 3);
+        auto blob = cached.Save(*id);
+        ASSERT_TRUE(blob.ok());
+        ASSERT_TRUE(cached.Close(*id).ok());
+        blobs.emplace_back(target, *std::move(blob));
+      }
+
+      ASSERT_TRUE(cached.Publish(ConfigFor(c, /*shifted=*/true)).ok());
+      ASSERT_TRUE(uncached.Publish(ConfigFor(c, /*shifted=*/true)).ok());
+      for (NodeId target = 0; target < c.hierarchy.NumNodes(); ++target) {
+        ExactOracle oracle(c.hierarchy.reach(), target);
+        auto id = cached.Open(spec);
+        ASSERT_TRUE(id.ok());
+        ASSERT_EQ(Drive(cached, *id, oracle, SIZE_MAX), target);
+        ASSERT_TRUE(cached.Close(*id).ok());
+      }
+
+      for (const auto& [target, blob] : blobs) {
+        auto on_cached = cached.Migrate(blob);
+        auto on_uncached = uncached.Migrate(blob);
+        ASSERT_TRUE(on_cached.ok()) << on_cached.status().ToString();
+        ASSERT_TRUE(on_uncached.ok()) << on_uncached.status().ToString();
+        ASSERT_EQ(on_cached->divergent_steps, on_uncached->divergent_steps);
+        const PlanCacheStats before = cached.plan_cache()->stats();
+        ExactOracle oracle_cached(c.hierarchy.reach(), target);
+        ExactOracle oracle_uncached(c.hierarchy.reach(), target);
+        std::vector<RecordedQuery> asked_cached, asked_uncached;
+        EXPECT_EQ(Drive(cached, on_cached->id, oracle_cached, SIZE_MAX,
+                        &asked_cached),
+                  target);
+        EXPECT_EQ(Drive(uncached, on_uncached->id, oracle_uncached, SIZE_MAX,
+                        &asked_uncached),
+                  target);
+        EXPECT_EQ(asked_cached, asked_uncached) << "target " << target;
+        const PlanCacheStats after = cached.plan_cache()->stats();
+        const std::uint64_t asks = asked_cached.size() + 1;
+        if (on_cached->divergent_steps > 0) {
+          ++diverged_sessions;
+          EXPECT_EQ(after.misses - before.misses, asks);
+          EXPECT_EQ(after.hits, before.hits);
+        } else {
+          EXPECT_EQ(after.hits - before.hits, asks);
+          EXPECT_EQ(after.misses, before.misses);
+        }
+        EXPECT_TRUE(cached.Close(on_cached->id).ok());
+        EXPECT_TRUE(uncached.Close(on_uncached->id).ok());
+      }
+    }
+    EXPECT_GT(diverged_sessions, 0u) << c.name;
+  }
+}
+
 TEST(EpochMigration, MigratedDivergentSessionResumesExactlyOnItsEpoch) {
   // A saved MIGRATED session (with 'd' flags) must round-trip through the
   // exact Resume path on the epoch it was migrated to.

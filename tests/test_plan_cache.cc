@@ -11,8 +11,9 @@
 //      resident size bounded;
 //  (5) an epoch hot-swap drops the old trie with its snapshot refcount —
 //      live sessions keep their epoch's plans, new sessions start cold;
-//  (6) the depth cap stops deep (unshared) prefixes from touching the trie;
-//  (7) PlanCache unit behavior: LRU order, counters, stats.
+//  (6) no depth cap: a repeated deep search hits at every depth;
+//  (7) PlanCache unit behavior: answer-keyed interning, CLOCK eviction,
+//      counters, and the per-node byte bound.
 #include "service/plan_cache.h"
 
 #include <gtest/gtest.h>
@@ -325,32 +326,43 @@ TEST(PlanCache, PublishStartsAFreshTrieAndOldSessionsKeepTheirs) {
   EXPECT_GT(first_trie->stats().hits, first_stats.hits);
 }
 
-// ---- (6) depth cap ----------------------------------------------------------
+// ---- (6) no depth cap ------------------------------------------------------
 
-TEST(PlanCache, DepthCapBypassesTheTrieOnDeepPrefixes) {
-  const CacheCase c = std::move(CacheCases().front());
-  PlanCacheOptions cache;
-  cache.max_depth = 1;  // cache only the empty prefix and depth-1 prefixes
-  Engine engine(CachedOptions(cache));
+TEST(PlanCache, DeepTranscriptHitsAtEveryDepth) {
+  // A 40-node path: top_down asks one question per level on the way to the
+  // bottom, and every prefix of that transcript, however deep, enters the
+  // trie.
+  constexpr std::size_t kLevels = 40;
+  Digraph path;
+  path.AddNodes(kLevels);
+  for (NodeId v = 0; v + 1 < kLevels; ++v) {
+    path.AddEdge(v, v + 1);
+  }
+  Rng rng(99);
+  CacheCase c{"path", MustBuild(std::move(path)),
+              ZipfRandomDistribution(kLevels, 2.0, rng)};
+  Engine engine(CachedOptions());
   ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
 
-  // top_down's transcript for a deep target is long; with the cap at 1,
-  // only prefixes of length <= 1 may enter the trie.
-  const NodeId target = static_cast<NodeId>(c.hierarchy.NumNodes() - 1);
-  ExactOracle oracle(c.hierarchy.reach(), target);
-  auto id = engine.Open("top_down");
-  ASSERT_TRUE(id.ok());
+  const NodeId target = static_cast<NodeId>(kLevels - 1);
+  ExactOracle oracle_a(c.hierarchy.reach(), target);
+  auto first = engine.Open("top_down");
+  ASSERT_TRUE(first.ok());
   std::vector<RecordedQuery> asked;
-  ASSERT_EQ(DriveToEnd(engine, *id, oracle, &asked), target);
-  ASSERT_GT(asked.size(), 2u) << "want a transcript deeper than the cap";
-  const PlanCacheStats stats = engine.plan_cache()->stats();
-  EXPECT_LE(stats.inserts, 2u);
-  EXPECT_LE(stats.entries, 2u);
+  ASSERT_EQ(DriveToEnd(engine, *first, oracle_a, &asked), target);
+  ASSERT_GE(asked.size(), kLevels - 1);
+  const PlanCacheStats after_first = engine.plan_cache()->stats();
+  EXPECT_EQ(after_first.inserts, asked.size() + 1);
+
   // One Ask per question plus the final kDone one, at transcript depths
-  // 0..asked.size(); those deeper than 1 bypass the trie, uncounted by
-  // hit_rate().
-  EXPECT_EQ(stats.bypassed, asked.size() - 1);
-  EXPECT_EQ(stats.hits + stats.misses + stats.bypassed, asked.size() + 1);
+  // 0..asked.size(): an identical second search hits every one of them.
+  ExactOracle oracle_b(c.hierarchy.reach(), target);
+  auto second = engine.Open("top_down");
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(DriveToEnd(engine, *second, oracle_b, nullptr), target);
+  const PlanCacheStats after_second = engine.plan_cache()->stats();
+  EXPECT_EQ(after_second.hits - after_first.hits, asked.size() + 1);
+  EXPECT_EQ(after_second.misses - after_first.misses, 0u);
 }
 
 // ---- (7) PlanCache unit behavior (interned-trie API) -----------------------
@@ -379,14 +391,35 @@ TEST(PlanCacheUnit, InterningIsStableAndPerSpec) {
   const PlanPrefixId b = cache.RootFor("wigs");
   EXPECT_NE(a, b);  // distinct specs never share a trie position
   EXPECT_EQ(cache.RootFor("greedy"), a);  // interning is idempotent
-  const PlanPrefixId a1 = cache.Advance(a, "reach 3 y\n");
-  EXPECT_EQ(cache.Advance(a, "reach 3 y\n"), a1);
-  EXPECT_NE(cache.Advance(a, "reach 3 n\n"), a1);
-  EXPECT_NE(cache.Advance(b, "reach 3 y\n"), a1);  // same edge, other root
-  // Deeper sessions keep advancing in O(edge): each id depends only on
-  // (parent id, edge), never on re-encoding the whole transcript.
-  const PlanPrefixId a2 = cache.Advance(a1, "reach 7 n\n");
-  EXPECT_EQ(cache.Advance(a1, "reach 7 n\n"), a2);
+  const PlanPrefixId a1 = cache.Advance(a, 1);
+  EXPECT_EQ(cache.Advance(a, 1), a1);
+  EXPECT_NE(cache.Advance(a, 0), a1);
+  EXPECT_NE(cache.Advance(b, 1), a1);  // same answer, other root
+  // Deeper sessions keep advancing in O(1): each id depends only on
+  // (parent id, answer code), never on re-encoding the whole transcript.
+  const PlanPrefixId a2 = cache.Advance(a1, 0);
+  EXPECT_EQ(cache.Advance(a1, 0), a2);
+  // A session that left the trie stays out of it.
+  EXPECT_EQ(cache.Advance(kNoPlanPrefix, 1), kNoPlanPrefix);
+}
+
+TEST(PlanCacheUnit, LookupChildInternsThenLooksUp) {
+  PlanCache cache(PlanCacheOptions{});
+  const PlanPrefixId root = cache.RootFor("greedy");
+  PlanPrefixId at = root;
+  EXPECT_FALSE(cache.LookupChild(&at, 1).has_value());  // interned only
+  EXPECT_EQ(at, cache.Advance(root, 1));
+  cache.Insert(at, Query::ReachQuery(9));
+  PlanPrefixId again = root;
+  const auto hit = cache.LookupChild(&again, 1);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->node, 9u);
+  EXPECT_EQ(again, at);
+  PlanPrefixId outside = kNoPlanPrefix;  // a session that left the trie
+  EXPECT_FALSE(cache.LookupChild(&outside, 1).has_value());
+  EXPECT_EQ(outside, kNoPlanPrefix);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(PlanCacheUnit, LookupOfUnknownOrUnplannedIdMisses) {
@@ -398,16 +431,15 @@ TEST(PlanCacheUnit, LookupOfUnknownOrUnplannedIdMisses) {
   EXPECT_EQ(cache.stats().misses, 3u);
 }
 
-TEST(PlanCacheUnit, LruEvictsColdEntriesAndPathsReinternFresh) {
+TEST(PlanCacheUnit, ClockEvictsColdEntriesAndPathsReinternFresh) {
   PlanCacheOptions options;
   options.max_bytes = 900;  // room for only a few nodes in one stripe
   options.num_stripes = 1;
   PlanCache cache(options);
   const PlanPrefixId root = cache.RootFor("g");
   std::vector<PlanPrefixId> ids;
-  for (int i = 0; i < 16; ++i) {
-    const PlanPrefixId id =
-        cache.Advance(root, "reach " + std::to_string(i) + " y\n");
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    const PlanPrefixId id = cache.Advance(root, i);  // 16 choice answers
     cache.Insert(id, Query::ReachQuery(static_cast<NodeId>(i)));
     ids.push_back(id);
   }
@@ -416,11 +448,38 @@ TEST(PlanCacheUnit, LruEvictsColdEntriesAndPathsReinternFresh) {
   // The earliest ids were evicted: stale ids miss (correctness never
   // depended on residency), and re-advancing interns a FRESH id.
   EXPECT_FALSE(cache.Lookup(ids.front()).has_value());
-  const PlanPrefixId fresh = cache.Advance(root, "reach 0 y\n");
+  const PlanPrefixId fresh = cache.Advance(root, 0);
   EXPECT_NE(fresh, ids.front());
   // ...which serves the path again after a re-insert.
   cache.Insert(fresh, Query::ReachQuery(0));
   EXPECT_TRUE(cache.Lookup(fresh).has_value());
+}
+
+TEST(PlanCacheUnit, EdgeTableKeepsEveryLiveEdgeUnderChurn) {
+  // A 64-node budget over 256 children of one root: nearly every Advance
+  // evicts, so edge cells are deleted and shifted constantly. A live node
+  // must stay reachable by its edge — re-advancing a key mints a new id
+  // only after the old one was evicted.
+  PlanCacheOptions options;
+  options.max_bytes = 64 * 72;
+  options.num_stripes = 1;
+  PlanCache cache(options);
+  const PlanPrefixId root = cache.RootFor("g");
+  Rng rng(5);
+  std::vector<PlanPrefixId> last(256, kNoPlanPrefix);
+  for (int i = 0; i < 20'000; ++i) {
+    const auto answer = static_cast<std::uint32_t>(rng.UniformInt(256));
+    const PlanPrefixId id = cache.Advance(root, answer);
+    cache.Insert(id, Query::ReachQuery(answer));
+    const auto hit = cache.Lookup(id);
+    ASSERT_TRUE(hit.has_value());
+    ASSERT_EQ(hit->node, answer);
+    if (last[answer] != kNoPlanPrefix && last[answer] != id) {
+      ASSERT_FALSE(cache.Lookup(last[answer]).has_value()) << "step " << i;
+    }
+    last[answer] = id;
+  }
+  EXPECT_GT(cache.stats().evictions, 10'000u);
 }
 
 TEST(PlanCacheUnit, ReinsertRefreshesWithoutDoubleCounting) {
@@ -438,12 +497,53 @@ TEST(PlanCacheUnit, ReinsertRefreshesWithoutDoubleCounting) {
 TEST(PlanCacheUnit, BatchQueriesRoundTrip) {
   PlanCache cache(PlanCacheOptions{});
   const PlanPrefixId id =
-      cache.Advance(cache.RootFor("batched"), "reach 3 y\n");
+      cache.Advance(cache.RootFor("batched"), 1);
   cache.Insert(id, Query::ReachBatch({7, 9, 11}));
   const auto hit = cache.Lookup(id);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->kind, Query::Kind::kReachBatch);
   EXPECT_EQ(hit->choices, (std::vector<NodeId>{7, 9, 11}));
+}
+
+TEST(PlanCacheUnit, EdgesAreKeyedByAnswerCode) {
+  TranscriptStep reach;
+  reach.kind = Query::Kind::kReach;
+  reach.nodes = {4};
+  reach.yes = true;
+  EXPECT_EQ(PlanCache::EdgeOf(reach), 1u);
+  TranscriptStep choice;
+  choice.kind = Query::Kind::kChoice;
+  choice.nodes = {2, 5, 9};
+  choice.choice = -1;  // "none of these"
+  EXPECT_EQ(PlanCache::EdgeOf(choice), 0u);
+  choice.choice = 2;
+  EXPECT_EQ(PlanCache::EdgeOf(choice), 3u);
+  TranscriptStep batch;
+  batch.kind = Query::Kind::kReachBatch;
+  batch.nodes = {1, 2, 3};
+  batch.batch_answers = {true, false, true};
+  EXPECT_EQ(PlanCache::EdgeOf(batch), 0b101u);
+  // No edge: a batch too wide for the code, or a step that did not answer
+  // the question planned at its parent.
+  batch.nodes.assign(33, 1);
+  batch.batch_answers.assign(33, false);
+  EXPECT_FALSE(PlanCache::EdgeOf(batch).has_value());
+  reach.diverged = true;
+  EXPECT_FALSE(PlanCache::EdgeOf(reach).has_value());
+}
+
+TEST(PlanCacheUnit, ReachNodesStayWithinNinetySixBytes) {
+  PlanCache cache(PlanCacheOptions{});
+  PlanPrefixId id = cache.RootFor("greedy");
+  constexpr std::uint32_t kNodes = 10'000;
+  for (std::uint32_t i = 0; i < kNodes; ++i) {
+    id = cache.Advance(id, i & 1);
+    cache.Insert(id, Query::ReachQuery(i));
+  }
+  const PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, kNodes + 1);  // the root too
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_LE(stats.bytes / stats.entries, 96u);
 }
 
 }  // namespace

@@ -681,18 +681,17 @@ int CmdServe(const std::string& hierarchy_path,
       } else {
         for (const auto& [epoch, c] : s.plan_cache_by_epoch) {
           std::printf("plan trie (epoch %llu): %llu hit(s), %llu miss(es), "
-                      "%llu eviction(s), hit rate %.1f%%, %llu bypassed past "
-                      "max_depth\n",
+                      "%llu eviction(s), hit rate %.1f%%\n",
                       static_cast<unsigned long long>(epoch),
                       static_cast<unsigned long long>(c.hits),
                       static_cast<unsigned long long>(c.misses),
                       static_cast<unsigned long long>(c.evictions),
-                      100.0 * c.hit_rate(),
-                      static_cast<unsigned long long>(c.bypassed));
-          std::printf("  %llu insert(s) — %zu entr%s, ~%zu KiB resident\n",
+                      100.0 * c.hit_rate());
+          std::printf("  %llu insert(s) — %zu entr%s, ~%zu KiB resident, "
+                      "%zu B per entry\n",
                       static_cast<unsigned long long>(c.inserts), c.entries,
-                      c.entries == 1 ? "y" : "ies",
-                      c.bytes >> 10);
+                      c.entries == 1 ? "y" : "ies", c.bytes >> 10,
+                      c.entries == 0 ? 0 : c.bytes / c.entries);
         }
       }
       std::printf("migrations: %llu session(s) migrated, %llu failure(s)\n",
