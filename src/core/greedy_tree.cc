@@ -1,6 +1,8 @@
 #include "core/greedy_tree.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <utility>
 
 #include "util/node_map.h"
@@ -104,6 +106,12 @@ class GreedyTreeSession final : public SearchSession {
   }
 
  private:
+  /// A child of the descent with its session subtree weight.
+  struct Child {
+    NodeId node = kInvalidNode;
+    Weight weight = 0;
+  };
+
   // Algorithm 4 lines 4–9: walk down the weighted heavy path while the
   // current node still dominates half the remaining weight; return the
   // better of the last two nodes visited. Never returns the current root
@@ -111,29 +119,26 @@ class GreedyTreeSession final : public SearchSession {
   NodeId SelectQueryNode() const {
     const NodeId r = state_.root();
     const Weight total = state_.SubtreeWeight(r);
-    NodeId u = kInvalidNode;
-    NodeId v = r;
+    Child u;
+    Child v{r, total};
     NodeId first_child = kInvalidNode;
-    while (MoreThanHalf(state_.SubtreeWeight(v), total) &&
-           !IsSessionLeaf(v)) {
+    while (MoreThanHalf(v.weight, total) && !IsSessionLeaf(v.node)) {
       u = v;
-      v = MaxWeightAliveChild(v);
-      AIGS_DCHECK(v != kInvalidNode);
+      v = MaxWeightAliveChild(v.node);
+      AIGS_DCHECK(v.node != kInvalidNode);
       if (first_child == kInvalidNode) {
-        first_child = v;
+        first_child = v.node;
       }
     }
-    if (u == kInvalidNode) {
+    if (u.node == kInvalidNode) {
       // Zero-weight remainder (possible only when the distribution assigns
       // no mass to the surviving candidates): any alive child keeps the
       // search progressing and costs nothing in expectation.
-      return MaxWeightAliveChild(r);
+      return MaxWeightAliveChild(r).node;
     }
     const NodeId q =
-        SplitDiff(state_.SubtreeWeight(u), total) <=
-                SplitDiff(state_.SubtreeWeight(v), total)
-            ? u
-            : v;
+        SplitDiff(u.weight, total) <= SplitDiff(v.weight, total) ? u.node
+                                                                 : v.node;
     // Querying the root is a wasted question; fall to its heavy child.
     return q == r ? first_child : q;
   }
@@ -141,24 +146,20 @@ class GreedyTreeSession final : public SearchSession {
   // A node is a leaf of the candidate tree when no descendant survives.
   bool IsSessionLeaf(NodeId v) const { return state_.SubtreeSize(v) == 1; }
 
-  NodeId MaxWeightAliveChild(NodeId v) const {
+  // Both scans return the heaviest alive child, the earliest in
+  // Children(v) order among equal weights, so they ask the same questions.
+  Child MaxWeightAliveChild(NodeId v) const {
     return child_scan_ == GreedyTreeOptions::ChildScan::kLinear
                ? MaxChildLinear(v)
                : MaxChildHeap(v);
   }
 
-  NodeId MaxChildLinear(NodeId v) const {
-    const Tree& tree = state_.base().tree();
-    NodeId best = kInvalidNode;
-    Weight best_weight = 0;
-    for (const NodeId c : tree.Children(v)) {
-      if (state_.IsRemovedTop(c)) {
-        continue;
-      }
-      const Weight w = state_.SubtreeWeight(c);
-      if (best == kInvalidNode || w > best_weight) {
-        best = c;
-        best_weight = w;
+  Child MaxChildLinear(NodeId v) const {
+    Child best;
+    for (const NodeId c : state_.base().tree().Children(v)) {
+      const std::optional<Weight> w = state_.AliveSubtreeWeight(c);
+      if (w && (best.node == kInvalidNode || *w > best.weight)) {
+        best = {c, *w};
       }
     }
     return best;
@@ -167,45 +168,58 @@ class GreedyTreeSession final : public SearchSession {
   // Lazy max-heap per visited node: entries carry the weight observed at
   // push time; stale tops (weights only ever decrease) are re-pushed with
   // their current weight until the top is fresh.
-  NodeId MaxChildHeap(NodeId v) const {
+  Child MaxChildHeap(NodeId v) const {
+    const auto children = state_.base().tree().Children(v);
     auto& heap = heaps_[v];
     if (!heap.initialized) {
-      const Tree& tree = state_.base().tree();
-      for (const NodeId c : tree.Children(v)) {
-        heap.entries.push_back({state_.SubtreeWeight(c), c});
+      for (std::uint32_t i = 0; i < children.size(); ++i) {
+        heap.entries.push_back({state_.SubtreeWeight(children[i]), i});
       }
-      std::make_heap(heap.entries.begin(), heap.entries.end());
+      std::make_heap(heap.entries.begin(), heap.entries.end(), HeapLess);
       heap.initialized = true;
     }
     auto& entries = heap.entries;
     while (!entries.empty()) {
-      const auto [cached_weight, c] = entries.front();
-      if (state_.IsRemovedTop(c)) {
-        std::pop_heap(entries.begin(), entries.end());
+      const HeapEntry top = entries.front();
+      const NodeId c = children[top.index];
+      const std::optional<Weight> current = state_.AliveSubtreeWeight(c);
+      if (current && *current == top.weight) {
+        return {c, top.weight};
+      }
+      std::pop_heap(entries.begin(), entries.end(), HeapLess);
+      if (current) {
+        entries.back().weight = *current;
+        std::push_heap(entries.begin(), entries.end(), HeapLess);
+      } else {
         entries.pop_back();
-        continue;
       }
-      const Weight current = state_.SubtreeWeight(c);
-      if (current == cached_weight) {
-        return c;
-      }
-      std::pop_heap(entries.begin(), entries.end());
-      entries.back() = {current, c};
-      std::push_heap(entries.begin(), entries.end());
     }
-    return kInvalidNode;
+    return {};
+  }
+
+  /// A child's weight at push time and its position in Children(v).
+  struct HeapEntry {
+    Weight weight = 0;
+    std::uint32_t index = 0;
+  };
+
+  // Max-heap order: heavier first, then earlier in Children(v) — the
+  // linear scan's tie-break.
+  static bool HeapLess(const HeapEntry& a, const HeapEntry& b) {
+    return a.weight != b.weight ? a.weight < b.weight : a.index > b.index;
   }
 
   struct LazyHeap {
     bool initialized = false;
-    std::vector<std::pair<Weight, NodeId>> entries;
+    std::vector<HeapEntry> entries;
   };
 
   TreeSearchState state_;
   GreedyTreeOptions::ChildScan child_scan_;
   // Planner memoization: lazily-built per-node max-heaps over child subtree
   // weights. Self-healing (stale tops re-check current weights on pop), so
-  // the heaps are derived state, never a source of nondeterminism.
+  // the heaps are derived state, never a source of nondeterminism. Only
+  // the heap scan writes it, so a linear-scan session never allocates it.
   mutable NodeMap<LazyHeap> heaps_;
 };
 

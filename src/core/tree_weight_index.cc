@@ -30,17 +30,19 @@ void TreeSearchState::ApplyNo(NodeId q) {
   AIGS_DCHECK(!IsRemovedTop(q));
   // Session values of the subtree being removed (they already account for
   // earlier removals strictly inside T_q).
-  const Weight w = SubtreeWeight(q);
-  const std::uint32_t s = SubtreeSize(q);
+  const Removed inside = removed_.GetOr(q, Removed{});
+  const Weight w = base_->SubtreeWeight(q) - inside.weight;
+  const std::uint32_t s = base_->SubtreeSize(q) - inside.size;
   AIGS_DCHECK(s >= 1);
   for (NodeId a = tree.Parent(q); a != kInvalidNode; a = tree.Parent(a)) {
-    removed_weight_[a] += w;
-    removed_size_[a] += s;
+    Removed& removed = removed_[a];
+    removed.weight += w;
+    removed.size += s;
     if (a == root_) {
       break;
     }
   }
-  removed_top_[q] = 1;
+  removed_[q].top = true;
 }
 
 }  // namespace aigs

@@ -6,13 +6,15 @@
 // sessions and can be updated incrementally when the distribution changes
 // one node at a time (online learning — O(depth) per labeled object).
 //
-// TreeSearchState is one session's view: current root plus a small delta
-// overlay recording the subtrees removed by no-answers (Algorithm 4 lines
+// TreeSearchState is one session's view: current root plus one removal
+// table recording the subtrees removed by no-answers (Algorithm 4 lines
 // 11–14 subtract p̃(q)/size(q) along the root→q path — at most h entries per
-// query). A fresh session costs O(1), not O(n).
+// query). A fresh session costs O(1), not O(n), and allocates nothing until
+// its first no-answer.
 #ifndef AIGS_CORE_TREE_WEIGHT_INDEX_H_
 #define AIGS_CORE_TREE_WEIGHT_INDEX_H_
 
+#include <optional>
 #include <vector>
 
 #include "tree/tree.h"
@@ -72,18 +74,30 @@ class TreeSearchState {
 
   /// Session subtree weight: base p̃(v) minus weight removed under v.
   Weight SubtreeWeight(NodeId v) const {
-    return base_->SubtreeWeight(v) - removed_weight_.GetOr(v, 0);
+    return base_->SubtreeWeight(v) - removed_.GetOr(v, Removed{}).weight;
   }
 
   /// Session subtree size.
   std::uint32_t SubtreeSize(NodeId v) const {
-    return base_->SubtreeSize(v) - removed_size_.GetOr(v, 0);
+    return base_->SubtreeSize(v) - removed_.GetOr(v, Removed{}).size;
   }
 
   /// True iff v was eliminated by a no-answer (v is the top of a removed
   /// subtree). Nodes strictly inside removed subtrees are never probed by
   /// the descent, so a top-only flag suffices.
-  bool IsRemovedTop(NodeId v) const { return removed_top_.GetOr(v, 0) != 0; }
+  bool IsRemovedTop(NodeId v) const {
+    return removed_.GetOr(v, Removed{}).top;
+  }
+
+  /// SubtreeWeight(v), or nullopt when IsRemovedTop(v) — one probe of the
+  /// removal table for the descent's child scan.
+  std::optional<Weight> AliveSubtreeWeight(NodeId v) const {
+    const Removed removed = removed_.GetOr(v, Removed{});
+    if (removed.top) {
+      return std::nullopt;
+    }
+    return base_->SubtreeWeight(v) - removed.weight;
+  }
 
   /// Number of candidates remaining.
   std::uint32_t CandidateCount() const { return SubtreeSize(root_); }
@@ -105,11 +119,19 @@ class TreeSearchState {
   }
 
  private:
+  /// What the no-answers so far took out of T_v: the session weight and
+  /// size removed strictly below v, plus whether v itself was removed.
+  struct Removed {
+    Weight weight = 0;
+    std::uint32_t size = 0;
+    bool top = false;
+  };
+
   const TreeWeightBase* base_;
   NodeId root_;
-  NodeMap<Weight> removed_weight_;
-  NodeMap<std::uint32_t> removed_size_;
-  NodeMap<std::uint8_t> removed_top_;
+  /// One entry per ancestor of each no-answered node, and one per
+  /// no-answered node; empty (and unallocated) until the first no.
+  NodeMap<Removed> removed_;
 };
 
 }  // namespace aigs

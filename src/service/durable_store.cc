@@ -388,10 +388,19 @@ Status DurableStore::AppendClose(SessionId id) {
 }
 
 Status DurableStore::Sync() {
-  std::shared_lock<std::shared_mutex> lock(rotate_mu_);
-  AIGS_RETURN_NOT_OK(wal_->Sync());
-  last_sync_wall_ms_.store(NowWallMillis(), std::memory_order_relaxed);
-  seen_syncs_.store(wal_->syncs(), std::memory_order_relaxed);
+  std::vector<std::shared_ptr<WalWriter>> retired;
+  {
+    std::shared_lock<std::shared_mutex> lock(rotate_mu_);
+    AIGS_RETURN_NOT_OK(wal_->Sync());
+    last_sync_wall_ms_.store(NowWallMillis(), std::memory_order_relaxed);
+    seen_syncs_.store(wal_->syncs(), std::memory_order_relaxed);
+    retired = retired_;
+  }
+  // A checkpoint may be fsyncing these right now; WalWriter::Sync joins
+  // that fsync instead of returning before it finishes.
+  for (const auto& segment : retired) {
+    AIGS_RETURN_NOT_OK(segment->Sync());
+  }
   return Status::OK();
 }
 
@@ -402,18 +411,32 @@ bool DurableStore::ShouldCheckpoint() const {
 }
 
 StatusOr<std::uint64_t> DurableStore::BeginCheckpoint() {
-  std::unique_lock<std::shared_mutex> lock(rotate_mu_);
-  const std::uint64_t next = seq_ + 1;
-  AIGS_ASSIGN_OR_RETURN(
-      std::unique_ptr<WalWriter> fresh,
-      WalWriter::Open(SegmentPath(options_.dir, next), options_.sync));
+  std::uint64_t next = 0;
+  std::vector<std::shared_ptr<WalWriter>> retired;
+  {
+    std::unique_lock<std::shared_mutex> lock(rotate_mu_);
+    next = seq_ + 1;
+    AIGS_ASSIGN_OR_RETURN(
+        std::unique_ptr<WalWriter> fresh,
+        WalWriter::Open(SegmentPath(options_.dir, next), options_.sync));
+    retired_.push_back(std::move(wal_));
+    wal_ = std::move(fresh);
+    seq_ = next;
+    records_since_checkpoint_.store(0, std::memory_order_relaxed);
+    seen_syncs_.store(0, std::memory_order_relaxed);
+    retired = retired_;
+  }
   // The outgoing segment must be durable before any checkpoint built on
-  // its contents can delete it.
-  AIGS_RETURN_NOT_OK(wal_->Sync());
-  wal_ = std::move(fresh);
-  seq_ = next;
-  records_since_checkpoint_.store(0, std::memory_order_relaxed);
-  seen_syncs_.store(0, std::memory_order_relaxed);
+  // its contents can delete it. Nothing appends to it any more, so its
+  // fsync runs outside the lock while appends go to the fresh segment.
+  for (const auto& segment : retired) {
+    AIGS_RETURN_NOT_OK(segment->Sync());
+  }
+  std::unique_lock<std::shared_mutex> lock(rotate_mu_);
+  std::erase_if(retired_, [&retired](const auto& segment) {
+    return std::find(retired.begin(), retired.end(), segment) !=
+           retired.end();
+  });
   return next;
 }
 

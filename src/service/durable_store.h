@@ -140,7 +140,8 @@ class DurableStore {
   /// Logs session close.
   Status AppendClose(SessionId id);
 
-  /// Fsyncs the current segment regardless of policy (graceful shutdown).
+  /// Fsyncs the current segment regardless of policy (graceful shutdown),
+  /// and any segment a checkpoint retired whose fsync has not finished.
   Status Sync();
 
   /// True when the auto-checkpoint threshold has been crossed.
@@ -157,7 +158,8 @@ class DurableStore {
   /// Rotates the WAL to a fresh segment and returns its sequence number.
   /// The caller then snapshots live sessions (concurrent appends land in
   /// the new segment and are deduped at replay by step index) and calls
-  /// CommitCheckpoint.
+  /// CommitCheckpoint. The retired segment is fsynced after the swap, with
+  /// appends already flowing into the fresh one, and before this returns.
   StatusOr<std::uint64_t> BeginCheckpoint();
 
   /// Writes checkpoint `seq` atomically (tmp → fsync → rename → dir
@@ -184,6 +186,9 @@ class DurableStore {
   mutable std::shared_mutex rotate_mu_;
   std::uint64_t seq_ = 0;
   std::unique_ptr<WalWriter> wal_;
+  /// Segments rotation retired whose fsync has not yet succeeded (guarded
+  /// by `rotate_mu_`); Sync() covers them too.
+  std::vector<std::shared_ptr<WalWriter>> retired_;
 
   std::atomic<std::uint64_t> appends_{0};
   std::atomic<std::uint64_t> append_failures_{0};

@@ -970,6 +970,91 @@ TEST(ConcurrentDurability, SaveAndCheckpointUnderAnswerTraffic) {
   }
 }
 
+TEST(ConcurrentDurability, AppendsFlowWhileACheckpointRetiresTheSegment) {
+  // BeginCheckpoint fsyncs the retired segment after the swap, so a second
+  // thread keeps appending throughout; every step it saw acked must come
+  // back, whichever side of each rotation it landed on.
+  TempDir dir("append_during_checkpoint");
+  DurabilityOptions options;
+  options.dir = dir.path();
+  // Only the checkpoint's own fsync of the retired segment (and the final
+  // Sync) makes anything durable, so every rotation has data to fsync.
+  options.sync = {FsyncPolicy::kNone, 1};
+  options.checkpoint_every = 0;
+  DurableScan scan;
+  auto store = DurableStore::Open(options, &scan);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+
+  SerializedSession session;
+  session.fingerprint = 0xFEEDFACE12345678ULL;
+  session.hierarchy_fingerprint = 0x0123456789ABCDEFULL;
+  session.policy_spec = "greedy";
+  constexpr SessionId kId = 1;
+  ASSERT_TRUE((*store)->AppendOpen(kId, session).ok());
+
+  // Stands in for the engine's per-session mutex: a snapshot sees exactly
+  // the steps acked before it.
+  std::mutex session_mu;
+  std::vector<TranscriptStep> acked;
+  std::atomic<bool> stop{false};
+  std::thread appender([&] {
+    for (NodeId i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      std::lock_guard<std::mutex> lock(session_mu);
+      const TranscriptStep step{Query::Kind::kReach, {i % 997}, i % 3 == 0,
+                                {}, -1, false};
+      AIGS_CHECK((*store)->AppendStep(kId, session.fingerprint, acked.size(),
+                                      step)
+                     .ok());
+      acked.push_back(step);
+    }
+  });
+
+  std::size_t last = 0;
+  // Lets the appender make progress past the last snapshot.
+  const auto await_appends = [&] {
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lock(session_mu);
+        if (acked.size() > last + 16) {
+          return;
+        }
+      }
+      std::this_thread::yield();
+    }
+  };
+  constexpr int kCheckpoints = 12;
+  for (int c = 0; c < kCheckpoints; ++c) {
+    await_appends();
+    auto seq = (*store)->BeginCheckpoint();
+    ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+    DurableStore::CheckpointSession snapshot;
+    {
+      std::lock_guard<std::mutex> lock(session_mu);
+      SerializedSession copy = session;
+      copy.steps = acked;
+      last = acked.size();
+      snapshot = {kId, (*store)->NowWallMillis(), SessionCodec::Encode(copy)};
+    }
+    ASSERT_TRUE((*store)->CommitCheckpoint(*seq, {snapshot}, kId + 1).ok());
+  }
+  await_appends();  // the last segment holds steps past every snapshot
+  stop.store(true);
+  appender.join();
+  ASSERT_TRUE((*store)->Sync().ok());
+  EXPECT_EQ((*store)->Stats().checkpoints,
+            static_cast<std::uint64_t>(kCheckpoints));
+  store->reset();
+
+  DurableScan recovered;
+  auto reopened = DurableStore::Open(options, &recovered);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(recovered.malformed_records, 0u);
+  EXPECT_EQ(recovered.torn_tails, 0u);
+  ASSERT_EQ(recovered.sessions.size(), 1u);
+  EXPECT_EQ(recovered.sessions[0].id, kId);
+  EXPECT_EQ(recovered.sessions[0].saved.steps, acked);
+}
+
 // ---- (6) adversarial SessionCodec decode -----------------------------------
 
 SerializedSession AdversarialFixture() {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "baselines/migs.h"
 #include "baselines/top_down.h"
@@ -107,9 +109,47 @@ TEST_F(IntegrationTest, GreedyTreeAndHeapVariantAgreeOnCost) {
   GreedyTreePolicy heap(h, dist, heap_options);
   const double c_linear = EvaluateExact(linear, h, dist).expected_cost;
   const double c_heap = EvaluateExact(heap, h, dist).expected_cost;
-  // Both realize the same greedy objective; ties may break differently, so
-  // costs agree tightly but not necessarily exactly.
-  EXPECT_NEAR(c_linear, c_heap, 0.05 * c_linear + 0.1);
+  // Both scans break ties the same way, so they ask the same questions.
+  EXPECT_EQ(c_linear, c_heap);
+}
+
+/// The (question, answer) pairs a session asks on its way to `target`.
+std::vector<std::pair<NodeId, bool>> ReachTranscript(const Policy& policy,
+                                                     const Hierarchy& h,
+                                                     NodeId target) {
+  const std::unique_ptr<SearchSession> session = policy.NewSession();
+  ExactOracle oracle(h.reach(), target);
+  std::vector<std::pair<NodeId, bool>> steps;
+  for (Query q = session->Next(); q.kind != Query::Kind::kDone;
+       q = session->Next()) {
+    EXPECT_EQ(q.kind, Query::Kind::kReach);
+    const bool yes = oracle.Reach(q.node);
+    steps.emplace_back(q.node, yes);
+    session->OnReach(q.node, yes);
+  }
+  EXPECT_EQ(session->Next().node, target);
+  return steps;
+}
+
+TEST_F(IntegrationTest, GreedyTreeAndHeapVariantAskTheSameQuestions) {
+  // Per target, not just in expectation: the heap returns the heaviest
+  // child, earliest in child order among ties, exactly like the linear
+  // scan. Under the equal distribution every pair of same-sized sibling
+  // subtrees ties.
+  const Hierarchy& h = amazon_->hierarchy;
+  const Distribution equal = EqualDistribution(h.NumNodes());
+  const Distribution* dists[] = {&amazon_->real_distribution, &equal};
+  for (const Distribution* dist : dists) {
+    GreedyTreePolicy linear(h, *dist);
+    GreedyTreeOptions heap_options;
+    heap_options.child_scan = GreedyTreeOptions::ChildScan::kLazyHeap;
+    GreedyTreePolicy heap(h, *dist, heap_options);
+    for (NodeId target = 0; target < h.NumNodes(); ++target) {
+      ASSERT_EQ(ReachTranscript(linear, h, target),
+                ReachTranscript(heap, h, target))
+          << "target " << target;
+    }
+  }
 }
 
 TEST_F(IntegrationTest, GreedyDagMatchesGreedyTreeOnTrees) {

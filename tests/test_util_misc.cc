@@ -71,9 +71,12 @@ TEST(NodeMap, OperatorBracketDefaultConstructs) {
 
 TEST(NodeMap, GrowsPastInitialCapacity) {
   NodeMap<std::uint64_t> m;
-  for (NodeId k = 0; k < 1000; ++k) {
+  m[0] = 0;  // the first insert allocates the initial table
+  EXPECT_EQ(m.capacity(), NodeMap<std::uint64_t>::kInitialCapacity);
+  for (NodeId k = 1; k < 1000; ++k) {
     m[k] = k * 3;
   }
+  EXPECT_GE(m.capacity(), 1024u);
   EXPECT_EQ(m.size(), 1000u);
   for (NodeId k = 0; k < 1000; ++k) {
     EXPECT_EQ(m.GetOr(k, 0), k * 3u);
@@ -88,6 +91,30 @@ TEST(NodeMap, ForEachVisitsEveryEntry) {
   int sum = 0;
   m.ForEach([&sum](NodeId, int v) { sum += v; });
   EXPECT_EQ(sum, 60);
+}
+
+TEST(NodeMap, UnwrittenMapAllocatesNothing) {
+  NodeMap<std::uint64_t> m;
+  EXPECT_EQ(m.capacity(), 0u);
+  EXPECT_EQ(m.GetOr(3, 99), 99u);
+  EXPECT_FALSE(m.Contains(3));
+  int visited = 0;
+  m.ForEach([&visited](NodeId, std::uint64_t) { ++visited; });
+  EXPECT_EQ(visited, 0);
+  m.Clear();
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.capacity(), 0u);
+}
+
+TEST(NodeMap, MovableValuesSurviveGrowth) {
+  NodeMap<std::vector<int>> m;
+  for (NodeId k = 0; k < 40; ++k) {
+    m[k].assign(k % 5 + 1, static_cast<int>(k));
+  }
+  for (NodeId k = 0; k < 40; ++k) {
+    EXPECT_EQ(m.GetOr(k, {}),
+              std::vector<int>(k % 5 + 1, static_cast<int>(k)));
+  }
 }
 
 TEST(NodeMap, ClearKeepsUsable) {

@@ -79,8 +79,9 @@ TEST(TreeSearchState, OverlayMatchesScratchRecomputation) {
     for (NodeId v = 0; v < 30; ++v) {
       alive.insert(v);
     }
+    std::set<NodeId> answered_no;
     Rng steps(rng.Next());
-    for (int step = 0; step < 10 && alive.size() > 1; ++step) {
+    while (alive.size() > 1) {
       // Pick a random alive descendant of the current root, not the root.
       std::vector<NodeId> options;
       for (const NodeId v : alive) {
@@ -101,12 +102,14 @@ TEST(TreeSearchState, OverlayMatchesScratchRecomputation) {
         alive = std::move(next);
       } else {
         state.ApplyNo(q);
+        answered_no.insert(q);
         for (auto it = alive.begin(); it != alive.end();) {
           it = h.tree().InSubtree(q, *it) ? alive.erase(it) : std::next(it);
         }
       }
       // Session subtree weight/size must equal the sum over alive nodes,
-      // for every node in the current root's alive subtree.
+      // for every node in the current root's alive subtree; a child of an
+      // alive node (what the descent probes) is a removed top iff dead.
       for (const NodeId v : alive) {
         Weight expected_w = 0;
         std::uint32_t expected_s = 0;
@@ -118,9 +121,19 @@ TEST(TreeSearchState, OverlayMatchesScratchRecomputation) {
         }
         ASSERT_EQ(state.SubtreeWeight(v), expected_w) << "node " << v;
         ASSERT_EQ(state.SubtreeSize(v), expected_s) << "node " << v;
+        ASSERT_EQ(state.AliveSubtreeWeight(v), expected_w) << "node " << v;
+        for (const NodeId c : h.tree().Children(v)) {
+          ASSERT_EQ(state.IsRemovedTop(c), !alive.contains(c)) << "child " << c;
+          ASSERT_EQ(state.AliveSubtreeWeight(c).has_value(), alive.contains(c))
+              << "child " << c;
+        }
+      }
+      for (const NodeId q_no : answered_no) {
+        ASSERT_TRUE(state.IsRemovedTop(q_no)) << "no-answered node " << q_no;
       }
       ASSERT_EQ(state.CandidateCount(), alive.size());
     }
+    EXPECT_EQ(state.Target(), *alive.begin());
   }
 }
 
@@ -298,6 +311,47 @@ TEST(SessionMemory, DagSessionsHoldAConstantFewHundredBytes) {
     EXPECT_LE(after > before ? (after - before) / kSessions : 0, kBudget)
         << n << " nodes, 10 answers";
   }
+}
+
+TEST(SessionMemory, TreeSessionsHoldOnlyTheirRemovals) {
+#ifdef AIGS_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+#endif
+  // A tree session keeps its root and one removal entry per ancestor of
+  // each no-answered node; a yes-only descent allocates no overlay at all.
+  // Most of what remains is the transcript.
+  const Hierarchy h =
+      *Hierarchy::Build(GenerateCatalogTree(BigCatalogParams(100'000)));
+  ASSERT_TRUE(h.is_tree());
+  const std::size_t n = h.NumNodes();
+  const Distribution dist = AssignZipfObjectCounts(n, 4 * n, 1.0, 7);
+  const PolicyContext context{&h, &dist, nullptr};
+  constexpr std::size_t kSessions = 32;
+  auto policy = PolicyRegistry::Global().Create("greedy", context);
+  ASSERT_TRUE(policy.ok()) << policy.status().ToString();
+  AnswerOnce(*(*policy)->NewSession(), h.reach(), 0);  // warm-up
+
+  std::vector<std::unique_ptr<SearchSession>> sessions;
+  sessions.reserve(kSessions);
+  std::size_t before = HeapBytesInUse();
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    sessions.push_back((*policy)->NewSession());
+    AnswerOnce(*sessions.back(), h.reach(),
+               static_cast<NodeId>((i * 7919) % n));
+  }
+  std::size_t after = HeapBytesInUse();
+  EXPECT_LE(after > before ? (after - before) / kSessions : 0, 512u)
+      << n << " nodes, 1 answer";
+
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    for (int a = 1; a < 10; ++a) {
+      AnswerOnce(*sessions[i], h.reach(),
+                 static_cast<NodeId>((i * 7919) % n));
+    }
+  }
+  after = HeapBytesInUse();
+  EXPECT_LE(after > before ? (after - before) / kSessions : 0, 1024u)
+      << n << " nodes, 10 answers";
 }
 
 }  // namespace
