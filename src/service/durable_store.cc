@@ -94,6 +94,19 @@ StatusOr<DirListing> ListDir(const std::string& dir) {
   return listing;
 }
 
+/// "<kind> <id> <wall_ms>" in this thread's record buffer. The buffer
+/// keeps its capacity, so encoding a step record allocates nothing.
+std::string& RecordHeader(const char* kind, SessionId id,
+                          std::uint64_t wall_ms) {
+  thread_local std::string buffer;
+  buffer.assign(kind);
+  buffer += ' ';
+  AppendUint(id, &buffer);
+  buffer += ' ';
+  AppendUint(wall_ms, &buffer);
+  return buffer;
+}
+
 /// In-progress recovery state for one session.
 using SessionMap = std::map<SessionId, RecoveredSessionRecord>;
 
@@ -336,22 +349,22 @@ StatusOr<std::unique_ptr<DurableStore>> DurableStore::Open(
   return store;
 }
 
-Status DurableStore::AppendRecord(const std::string& payload) {
+Status DurableStore::AppendRecord(std::string_view payload) {
   Status status;
   {
     std::shared_lock<std::shared_mutex> lock(rotate_mu_);
-    status = wal_->Append(payload);
-    if (status.ok()) {
+    StatusOr<std::uint64_t> syncs = wal_->Append(payload);
+    if (syncs.ok()) {
       appends_.fetch_add(1, std::memory_order_relaxed);
       records_since_checkpoint_.fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t syncs = wal_->syncs();
       std::uint64_t seen = seen_syncs_.load(std::memory_order_relaxed);
-      if (syncs != seen &&
-          seen_syncs_.compare_exchange_strong(seen, syncs,
+      if (*syncs != seen &&
+          seen_syncs_.compare_exchange_strong(seen, *syncs,
                                               std::memory_order_relaxed)) {
         last_sync_wall_ms_.store(NowWallMillis(), std::memory_order_relaxed);
       }
     } else {
+      status = syncs.status();
       append_failures_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -364,8 +377,8 @@ Status DurableStore::AppendRecord(const std::string& payload) {
 }
 
 Status DurableStore::AppendOpen(SessionId id, const SerializedSession& state) {
-  std::string payload = "open " + std::to_string(id) + " " +
-                        std::to_string(NowWallMillis()) + "\n";
+  std::string& payload = RecordHeader("open", id, NowWallMillis());
+  payload += '\n';
   payload += SessionCodec::Encode(state);
   return AppendRecord(payload);
 }
@@ -373,18 +386,18 @@ Status DurableStore::AppendOpen(SessionId id, const SerializedSession& state) {
 Status DurableStore::AppendStep(SessionId id, std::uint64_t fingerprint,
                                 std::size_t index,
                                 const TranscriptStep& step) {
-  char fp[32];
-  std::snprintf(fp, sizeof(fp), "%016" PRIx64, fingerprint);
-  std::string payload = "step " + std::to_string(id) + " " +
-                        std::to_string(NowWallMillis()) + " " + fp + " " +
-                        std::to_string(index) + " ";
+  std::string& payload = RecordHeader("step", id, NowWallMillis());
+  payload += ' ';
+  AppendUint(fingerprint, &payload, 16, 16);
+  payload += ' ';
+  AppendUint(index, &payload);
+  payload += ' ';
   SessionCodec::AppendStepKey(step, &payload);
   return AppendRecord(payload);
 }
 
 Status DurableStore::AppendClose(SessionId id) {
-  return AppendRecord("close " + std::to_string(id) + " " +
-                      std::to_string(NowWallMillis()));
+  return AppendRecord(RecordHeader("close", id, NowWallMillis()));
 }
 
 Status DurableStore::Sync() {
@@ -430,7 +443,7 @@ StatusOr<std::uint64_t> DurableStore::BeginCheckpoint() {
   // its contents can delete it. Nothing appends to it any more, so its
   // fsync runs outside the lock while appends go to the fresh segment.
   for (const auto& segment : retired) {
-    AIGS_RETURN_NOT_OK(segment->Sync());
+    AIGS_RETURN_NOT_OK(segment->Finish());
   }
   std::unique_lock<std::shared_mutex> lock(rotate_mu_);
   std::erase_if(retired_, [&retired](const auto& segment) {
@@ -452,16 +465,18 @@ Status DurableStore::CommitCheckpoint(
     AIGS_ASSIGN_OR_RETURN(
         std::unique_ptr<WalWriter> out,
         WalWriter::Open(tmp, WalSyncOptions{FsyncPolicy::kNone, 1}));
-    AIGS_RETURN_NOT_OK(out->Append(
-        "meta " + std::to_string(seq) + " " +
-        std::to_string(NowWallMillis()) + " " + std::to_string(next_id)));
+    AIGS_RETURN_NOT_OK(out->Append("meta " + std::to_string(seq) + " " +
+                                   std::to_string(NowWallMillis()) + " " +
+                                   std::to_string(next_id))
+                           .status());
     for (const CheckpointSession& session : sessions) {
-      AIGS_RETURN_NOT_OK(out->Append(
-          "session " + std::to_string(session.id) + " " +
-          std::to_string(session.last_active_wall_ms) + "\n" +
-          session.blob));
+      AIGS_RETURN_NOT_OK(
+          out->Append("session " + std::to_string(session.id) + " " +
+                      std::to_string(session.last_active_wall_ms) + "\n" +
+                      session.blob)
+              .status());
     }
-    AIGS_RETURN_NOT_OK(out->Sync());
+    AIGS_RETURN_NOT_OK(out->Finish());
   }
   ec.clear();
   fs::rename(tmp, final_path, ec);

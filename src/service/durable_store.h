@@ -60,8 +60,9 @@ struct DurabilityOptions {
   /// absent; parents too).
   std::string dir;
   WalSyncOptions sync;
-  /// WAL records between automatic checkpoints (Engine triggers one off
-  /// the hot path when the threshold is crossed); 0 = manual only.
+  /// WAL records between automatic checkpoints (the Engine runs one on the
+  /// request thread that crosses the threshold, after its session lock
+  /// drops); 0 = manual only.
   std::size_t checkpoint_every = 8192;
   /// Wall-clock milliseconds (Unix epoch); null = std::chrono::system_clock.
   /// Injectable so recovery-TTL tests need no real idle time.
@@ -177,7 +178,7 @@ class DurableStore {
  private:
   explicit DurableStore(DurabilityOptions options);
 
-  Status AppendRecord(const std::string& payload);
+  Status AppendRecord(std::string_view payload);
 
   DurabilityOptions options_;
 

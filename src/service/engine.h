@@ -354,10 +354,11 @@ class Engine {
   /// initial checkpoint of whatever is live. From here every acked
   /// Open/Answer/Close appends a WAL record before it returns (per the
   /// fsync policy's durability promise), and crossing
-  /// DurabilityOptions::checkpoint_every triggers a checkpoint off the hot
-  /// path. FailedPrecondition when the directory already holds durable
-  /// state — that state must be Recover()ed (or deleted), never silently
-  /// shadowed. Configure durability before serving traffic; the append
+  /// DurabilityOptions::checkpoint_every runs a checkpoint on the request
+  /// thread that crosses it, after its session lock drops.
+  /// FailedPrecondition when the directory already holds durable state —
+  /// that state must be Recover()ed (or deleted), never silently shadowed.
+  /// Configure durability before serving traffic; the append
   /// hooks read the store pointer without the snapshot mutex.
   Status EnableDurability(DurabilityOptions options);
 

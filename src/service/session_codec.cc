@@ -101,8 +101,10 @@ void SessionCodec::AppendStepKey(const TranscriptStep& step,
                                  std::string* out) {
   switch (step.kind) {
     case Query::Kind::kReach:
-      *out += "reach " + std::to_string(step.nodes[0]) +
-              (step.yes ? " y\n" : " n\n");
+      // The per-Answer WAL record encodes this line: no temporaries.
+      out->append("reach ");
+      AppendUint(step.nodes[0], out);
+      out->append(step.yes ? " y\n" : " n\n");
       break;
     case Query::Kind::kReachBatch: {
       std::string pattern;

@@ -67,6 +67,18 @@ std::string FormatDouble(double value, int digits) {
   return buf;
 }
 
+void AppendUint(std::uint64_t value, std::string* out, int base,
+                std::size_t width) {
+  char digits[64];
+  const char* const end =
+      std::to_chars(digits, digits + sizeof(digits), value, base).ptr;
+  const std::size_t length = static_cast<std::size_t>(end - digits);
+  if (length < width) {
+    out->append(width - length, '0');
+  }
+  out->append(digits, length);
+}
+
 std::string FormatWithCommas(std::uint64_t value) {
   std::string digits = std::to_string(value);
   std::string out;

@@ -32,6 +32,11 @@ std::string FormatDouble(double value, int digits = 2);
 /// Formats an integer with thousands separators ("12,656,970").
 std::string FormatWithCommas(std::uint64_t value);
 
+/// Appends `value` to `*out` in `base` (the digits std::to_string writes
+/// for base 10; lowercase for 16), left-padded with '0' to `width`.
+void AppendUint(std::uint64_t value, std::string* out, int base = 10,
+                std::size_t width = 0);
+
 }  // namespace aigs
 
 #endif  // AIGS_UTIL_STRING_UTIL_H_

@@ -14,12 +14,16 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cinttypes>
+#include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -37,6 +41,7 @@
 #include "service/session_codec.h"
 #include "service/wal.h"
 #include "tests/test_support.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace aigs {
@@ -89,6 +94,34 @@ std::string NewestSegment(const std::string& dir) {
   }
   AIGS_CHECK(!newest.empty());
   return newest;
+}
+
+/// One frame as a plain write(2) appender lays it out: u32 length, u32
+/// CRC-32, payload (little-endian).
+std::string Frame(std::string_view payload) {
+  std::string out;
+  for (const std::uint32_t v : {static_cast<std::uint32_t>(payload.size()),
+                                Crc32(payload)}) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      out += static_cast<char>((v >> shift) & 0xFF);
+    }
+  }
+  out += payload;
+  return out;
+}
+
+/// Runs `body` in a forked child and returns its wait status. `body` must
+/// end the child itself (_exit or a signal); returning exits 42.
+int RunInChild(const std::function<void()>& body) {
+  const pid_t pid = ::fork();
+  AIGS_CHECK(pid >= 0);
+  if (pid == 0) {
+    body();
+    ::_exit(42);
+  }
+  int wstatus = 0;
+  AIGS_CHECK(::waitpid(pid, &wstatus, 0) == pid);
+  return wstatus;
 }
 
 // ---- shared catalog fixtures (mirrors test_service.cc) ---------------------
@@ -291,6 +324,251 @@ TEST(Wal, TornTailIsDiscardedNeverFatal) {
   EXPECT_TRUE(missing->records.empty());
 }
 
+TEST(Wal, ClosedSegmentHoldsExactlyItsFrames) {
+  // The frame bytes are the format: a closed segment is byte-identical to
+  // the frames a plain write(2) appender would have written, with nothing
+  // after the last one. The payloads straddle the 256 KiB window, one is
+  // wider than it, and an empty payload ends the segment.
+  TempDir dir("wal_closed");
+  std::filesystem::create_directories(dir.path());
+  const std::string path = dir.path() + "/w.log";
+  const std::vector<std::string> payloads = {
+      std::string((256 << 10) - 100, 'a'),  // next frame crosses 256 KiB
+      std::string(200, 'b'),
+      "",
+      std::string(300 << 10, 'c'),  // wider than the window
+      "tail",
+      "",
+  };
+  std::string expected;
+  {
+    auto writer = WalWriter::Open(path, {FsyncPolicy::kNone, 1});
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const std::string& p : payloads) {
+      ASSERT_TRUE((*writer)->Append(p).ok());
+      expected += Frame(p);
+    }
+    EXPECT_EQ((*writer)->bytes(), expected.size());
+  }
+  EXPECT_EQ(ReadFile(path), expected);
+  auto scan = ReadWal(path);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->records, payloads);
+  EXPECT_EQ(scan->valid_bytes, expected.size());
+  EXPECT_EQ(scan->torn_bytes, 0u);
+
+  // Reopening appends after the last frame.
+  {
+    auto writer = WalWriter::Open(path, {FsyncPolicy::kNone, 1});
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->Append("more").ok());
+  }
+  EXPECT_EQ(ReadFile(path), expected + Frame("more"));
+}
+
+TEST(Wal, FailedAppendLeavesNoPartialFrame) {
+  // A file-size limit fails appends mid-stream. A writer that wrote part
+  // of a frame before failing would hide every record acked after it
+  // behind a torn frame; space is reserved before any byte is copied, so
+  // every acked record must read back and nothing is torn.
+  for (const std::size_t size : {std::size_t{60}, std::size_t{40} << 10}) {
+    SCOPED_TRACE("payload bytes " + std::to_string(size));
+    TempDir dir("wal_fsize");
+    std::filesystem::create_directories(dir.path());
+    const std::string path = dir.path() + "/w.log";
+    const auto payload = [size](int i) {
+      std::string p = "record-" + std::to_string(i) + "-";
+      p.resize(size, static_cast<char>('a' + i % 26));
+      return p;
+    };
+    int pipefd[2];
+    ASSERT_EQ(::pipe(pipefd), 0);
+    const int wstatus = RunInChild([&] {
+      ::close(pipefd[0]);
+      auto writer = WalWriter::Open(path, {FsyncPolicy::kNone, 1});
+      rlimit original{};
+      if (!writer.ok() || ::getrlimit(RLIMIT_FSIZE, &original) != 0) {
+        ::_exit(42);
+      }
+      ::signal(SIGXFSZ, SIG_IGN);
+      rlimit limited = original;
+      limited.rlim_cur = 1000;
+      std::string acks;
+      for (int i = 0; i < 45; ++i) {
+        if (i == 0 || i == 40) {  // limit the first 40, lift for the rest
+          if (::setrlimit(RLIMIT_FSIZE, i == 0 ? &limited : &original) !=
+              0) {
+            ::_exit(42);
+          }
+        }
+        acks += (*writer)->Append(payload(i)).ok() ? '1' : '0';
+      }
+      if (::write(pipefd[1], acks.data(), acks.size()) !=
+          static_cast<ssize_t>(acks.size())) {
+        ::_exit(42);
+      }
+      ::_exit(0);  // no close: the segment keeps its preallocated tail
+    });
+    ::close(pipefd[1]);
+    char acks[64] = {};
+    const ssize_t got = ::read(pipefd[0], acks, sizeof(acks));
+    ::close(pipefd[0]);
+    ASSERT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0)
+        << "child status " << wstatus;
+    ASSERT_EQ(got, 45);
+    std::vector<std::string> acked;
+    for (int i = 0; i < 45; ++i) {
+      if (acks[i] == '1') {
+        acked.push_back(payload(i));
+      }
+    }
+    EXPECT_EQ(std::string(acks + 40, 5), "11111");  // lifted: all land
+    if (size > 1000) {
+      // Enough bytes to outgrow the first reservation under the limit.
+      EXPECT_NE(std::string(acks, 40).find('0'), std::string::npos);
+    }
+    auto scan = ReadWal(path);
+    ASSERT_TRUE(scan.ok());
+    EXPECT_EQ(scan->records, acked);
+    EXPECT_EQ(scan->torn_bytes, 0u);
+  }
+}
+
+TEST(Wal, CrashedSegmentReadsClean) {
+  // A writer that dies without closing leaves its preallocated zeros after
+  // the last frame. They are unused space, not a torn tail.
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 200; ++i) {
+    // Empty payloads mid-segment stay legal frames.
+    payloads.push_back(i % 7 == 2 ? "" : "crash-record-" + std::to_string(i));
+  }
+  for (const bool sigkill : {false, true}) {
+    SCOPED_TRACE(sigkill ? "SIGKILL" : "_exit");
+    TempDir dir("wal_crash");
+    std::filesystem::create_directories(dir.path());
+    const std::string path = dir.path() + "/w.log";
+    const int wstatus = RunInChild([&] {
+      auto writer = WalWriter::Open(path, {FsyncPolicy::kNone, 1});
+      if (!writer.ok()) {
+        ::_exit(42);
+      }
+      for (const std::string& p : payloads) {
+        if (!(*writer)->Append(p).ok()) {
+          ::_exit(42);
+        }
+      }
+      if (sigkill) {
+        ::raise(SIGKILL);
+      }
+      ::_exit(0);
+    });
+    ASSERT_TRUE(sigkill ? WIFSIGNALED(wstatus) && WTERMSIG(wstatus) == SIGKILL
+                        : WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0)
+        << "child status " << wstatus;
+
+    auto scan = ReadWal(path);
+    ASSERT_TRUE(scan.ok());
+    EXPECT_EQ(scan->records, payloads);
+    EXPECT_EQ(scan->torn_bytes, 0u);
+    const std::string crashed = ReadFile(path);
+    ASSERT_GT(crashed.size(), scan->valid_bytes);  // the zero tail
+
+    // A nonzero byte in the zero tail is damage: torn, frames intact.
+    std::string planted = crashed;
+    planted[scan->valid_bytes + 100] = '\x5A';
+    WriteFile(path, planted);
+    auto damaged = ReadWal(path);
+    ASSERT_TRUE(damaged.ok());
+    EXPECT_EQ(damaged->records, payloads);
+    EXPECT_EQ(damaged->valid_bytes, scan->valid_bytes);
+    EXPECT_EQ(damaged->torn_bytes, crashed.size() - scan->valid_bytes);
+
+    // A reopened writer appends after the last frame, over the damage.
+    WriteFile(path, crashed);
+    {
+      auto writer = WalWriter::Open(path, {FsyncPolicy::kNone, 1});
+      ASSERT_TRUE(writer.ok());
+      ASSERT_TRUE((*writer)->Append("resumed").ok());
+    }
+    auto resumed = ReadWal(path);
+    ASSERT_TRUE(resumed.ok());
+    ASSERT_EQ(resumed->records.size(), payloads.size() + 1);
+    EXPECT_EQ(resumed->records.back(), "resumed");
+    EXPECT_EQ(resumed->torn_bytes, 0u);
+  }
+
+  // The one unreadable case (see wal.h): an empty payload as the last
+  // frame of a crashed segment is indistinguishable from the zero tail.
+  TempDir dir("wal_crash_empty");
+  std::filesystem::create_directories(dir.path());
+  const std::string path = dir.path() + "/w.log";
+  const int wstatus = RunInChild([&] {
+    auto writer = WalWriter::Open(path, {FsyncPolicy::kNone, 1});
+    if (!writer.ok() || !(*writer)->Append("kept").ok() ||
+        !(*writer)->Append("").ok()) {
+      ::_exit(42);
+    }
+    ::_exit(0);
+  });
+  ASSERT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
+  auto scan = ReadWal(path);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->records, std::vector<std::string>{"kept"});
+  EXPECT_EQ(scan->torn_bytes, 0u);
+}
+
+TEST(Wal, ConcurrentAppendersKeepEachThreadsOrder) {
+  // Frames of varying size cross many window boundaries and growth steps;
+  // one is wider than the whole window.
+  TempDir dir("wal_concurrent");
+  std::filesystem::create_directories(dir.path());
+  const std::string path = dir.path() + "/w.log";
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  const auto payload = [](int thread, int i) {
+    std::string p = std::to_string(thread) + " " + std::to_string(i) + " ";
+    const std::size_t size =
+        thread == 0 && i == kPerThread / 2
+            ? std::size_t{300} << 10
+            : static_cast<std::size_t>((i * 37 + thread * 101) % 700);
+    p.resize(std::max(p.size(), size), static_cast<char>('a' + thread));
+    return p;
+  };
+  {
+    auto writer = WalWriter::Open(path, {FsyncPolicy::kInterval, 1024});
+    ASSERT_TRUE(writer.ok());
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&writer, &payload, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          AIGS_CHECK((*writer)->Append(payload(t, i)).ok());
+        }
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    EXPECT_EQ((*writer)->records(),
+              static_cast<std::uint64_t>(kThreads * kPerThread));
+  }
+  auto scan = ReadWal(path);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->torn_bytes, 0u);
+  ASSERT_EQ(scan->records.size(),
+            static_cast<std::size_t>(kThreads * kPerThread));
+  std::vector<int> next(kThreads, 0);
+  for (const std::string& record : scan->records) {
+    std::istringstream in(record);
+    int thread = -1;
+    int i = -1;
+    in >> thread >> i;
+    ASSERT_TRUE(thread >= 0 && thread < kThreads) << record.substr(0, 20);
+    ASSERT_EQ(i, next[thread]) << "thread " << thread << " out of order";
+    ASSERT_EQ(record, payload(thread, i));
+    ++next[thread];
+  }
+}
+
 TEST(Wal, ParseFsyncPolicy) {
   auto always = ParseFsyncPolicy("always");
   ASSERT_TRUE(always.ok());
@@ -439,6 +717,99 @@ TEST(DurableRecovery, TornSegmentTailLosesOnlyTheTail) {
   auto decoded = SessionCodec::Decode(*blob);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->steps.size(), 2u);  // 3 acked, last record torn
+}
+
+TEST(DurableRecovery, RecordsKeepTheirTextEncoding) {
+  // Step and close records are encoded without temporaries; their bytes
+  // must match the to_string/%016x encoding recovery has always parsed.
+  TempDir dir("record_bytes");
+  DurabilityOptions options;
+  options.dir = dir.path();
+  options.sync = {FsyncPolicy::kNone, 1};
+  options.checkpoint_every = 0;
+  options.wall_clock_millis = [] { return std::uint64_t{1700000000123}; };
+  SerializedSession session;
+  session.fingerprint = 0x00000000CAFEF00DULL;  // leading zero digits
+  session.policy_spec = "greedy";
+  const std::vector<TranscriptStep> steps = {
+      {Query::Kind::kReach, {4294967295u}, true, {}, -1, false},
+      {Query::Kind::kReach, {0}, false, {}, -1, false},
+      {Query::Kind::kReachBatch, {4, 9}, false, {true, false}, -1, false},
+      {Query::Kind::kChoice, {3, 5, 8}, false, {}, 2, false},
+  };
+  {
+    DurableScan scan;
+    auto store = DurableStore::Open(options, &scan);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->AppendOpen(18446744073709551615ULL, session).ok());
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      ASSERT_TRUE((*store)
+                      ->AppendStep(18446744073709551615ULL,
+                                   session.fingerprint, i + 1000, steps[i])
+                      .ok());
+    }
+    ASSERT_TRUE((*store)->AppendClose(7).ok());
+  }
+  auto scan = ReadWal(NewestSegment(dir.path()));
+  ASSERT_TRUE(scan.ok());
+  char fp[32];
+  std::snprintf(fp, sizeof(fp), "%016" PRIx64, session.fingerprint);
+  std::vector<std::string> expected = {"open 18446744073709551615 " +
+                                       std::to_string(1700000000123ULL) +
+                                       "\n" + SessionCodec::Encode(session)};
+  const std::vector<std::string> lines = {"reach 4294967295 y\n",
+                                          "reach 0 n\n", "batch 4+9 yn\n",
+                                          "choice 3+5+8 2\n"};
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    expected.push_back("step 18446744073709551615 1700000000123 " +
+                       std::string(fp) + " " + std::to_string(i + 1000) +
+                       " " + lines[i]);
+  }
+  expected.push_back("close 7 1700000000123");
+  EXPECT_EQ(scan->records, expected);
+}
+
+TEST(DurableRecovery, RecoversSegmentsWrittenWithoutPreallocation) {
+  // A store written by a plain write(2) appender: frames only, no zero
+  // tail, the newest segment cut off after its last frame by the crash.
+  TempDir dir("unpreallocated");
+  std::filesystem::create_directories(dir.path());
+  SerializedSession session;
+  session.fingerprint = 0x1111222233334444ULL;
+  session.policy_spec = "greedy";
+  session.steps.push_back({Query::Kind::kReach, {3}, true, {}, -1, false});
+  const auto step = [](std::size_t index, NodeId node, bool yes) {
+    return "step 9 2000 1111222233334444 " + std::to_string(index) +
+           " reach " + std::to_string(node) + (yes ? " y\n" : " n\n");
+  };
+  // Segment 1 predates the checkpoint and must be ignored.
+  WriteFile(dir.path() + "/wal-000001.log", Frame("close 9 1000"));
+  WriteFile(dir.path() + "/checkpoint-000002.ckpt",
+            Frame("meta 2 1500 10") +
+                Frame("session 9 1500\n" + SessionCodec::Encode(session)));
+  WriteFile(dir.path() + "/wal-000002.log",
+            Frame(step(0, 3, true)) + Frame(step(1, 5, false)) +
+                Frame(step(2, 6, true)));
+  DurabilityOptions options;
+  options.dir = dir.path();
+  options.checkpoint_every = 0;
+  DurableScan scan;
+  auto store = DurableStore::Open(options, &scan);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(scan.checkpoint_sessions, 1u);
+  EXPECT_EQ(scan.wal_records, 3u);
+  EXPECT_EQ(scan.torn_tails, 0u);
+  EXPECT_EQ(scan.malformed_records, 0u);
+  EXPECT_EQ(scan.next_session_id, 10u);
+  ASSERT_EQ(scan.sessions.size(), 1u);
+  EXPECT_EQ(scan.sessions[0].id, 9u);
+  EXPECT_EQ(scan.sessions[0].last_active_wall_ms, 2000u);
+  const std::vector<TranscriptStep> want = {
+      {Query::Kind::kReach, {3}, true, {}, -1, false},
+      {Query::Kind::kReach, {5}, false, {}, -1, false},
+      {Query::Kind::kReach, {6}, true, {}, -1, false},
+  };
+  EXPECT_EQ(scan.sessions[0].saved.steps, want);
 }
 
 TEST(DurableRecovery, EnableDurabilityRefusesExistingState) {
