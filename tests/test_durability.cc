@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/policy_registry.h"
 #include "eval/runner.h"
 #include "graph/generators.h"
 #include "oracle/oracle.h"
@@ -810,6 +811,203 @@ TEST(DurableRecovery, RecoversSegmentsWrittenWithoutPreallocation) {
       {Query::Kind::kReach, {6}, true, {}, -1, false},
   };
   EXPECT_EQ(scan.sessions[0].saved.steps, want);
+}
+
+// ---- golden bytes: Save blob, step records, checkpoint payload -------------
+
+/// Asks a fixed script that mixes every step kind, whatever the answers.
+/// Only the first question reads the catalog (the heaviest node), so a
+/// republish with other counts makes that step diverge on migration.
+class MixedScriptSession final : public SearchSession {
+ public:
+  explicit MixedScriptSession(NodeId first) : first_(first) {}
+
+  Query PlanQuestion() const override {
+    switch (next_) {
+      case 0:
+        return Query::ReachQuery(first_);
+      case 1:
+        return Query::ReachQuery(7);
+      case 2:
+        return Query::ReachBatch({3, 1, 4});
+      case 3: {
+        std::vector<NodeId> wide;
+        for (NodeId v = 40; v >= 1; --v) {
+          wide.push_back(v);
+        }
+        return Query::ReachBatch(std::move(wide));
+      }
+      case 4:
+        return Query::ChoiceQuery({6, 2, 9});
+      case 5:
+        return Query::ChoiceQuery({10, 12});
+      default:
+        return Query::Done(0);
+    }
+  }
+
+ protected:
+  void ApplyReach(NodeId, bool) override { ++next_; }
+  void ApplyChoice(std::span<const NodeId>, int) override { ++next_; }
+  void ApplyReachBatch(std::span<const NodeId>,
+                       const std::vector<bool>&) override {
+    ++next_;
+  }
+  Status ApplyObservedStep(const TranscriptStep&) override {
+    ++next_;
+    return Status::OK();
+  }
+
+ private:
+  NodeId first_;
+  std::size_t next_ = 0;
+};
+
+class MixedScriptPolicy final : public Policy {
+ public:
+  explicit MixedScriptPolicy(NodeId first) : first_(first) {}
+  std::string name() const override { return "MixedScript"; }
+  std::unique_ptr<SearchSession> NewSession() const override {
+    return std::make_unique<MixedScriptSession>(first_);
+  }
+
+ private:
+  NodeId first_;
+};
+
+void RegisterMixedScriptPolicy() {
+  static const bool registered =
+      PolicyRegistry::Global()
+          .Register("mixed_script",
+                    "test policy: a fixed script of every step kind",
+                    [](const PolicyContext& context, PolicyOptions&)
+                        -> StatusOr<std::unique_ptr<Policy>> {
+                      const std::vector<Weight>& w =
+                          context.distribution->weights();
+                      const auto heaviest = static_cast<NodeId>(
+                          std::max_element(w.begin(), w.end()) - w.begin());
+                      return std::unique_ptr<Policy>(
+                          new MixedScriptPolicy(heaviest));
+                    })
+          .ok();
+  ASSERT_TRUE(registered);
+}
+
+/// Counts of one everywhere but `heavy`.
+Distribution OneHeavyNode(std::size_t n, NodeId heavy) {
+  std::vector<Weight> weights(n, 1);
+  weights[heavy] = 100;
+  return *Distribution::FromWeights(std::move(weights));
+}
+
+std::string Hex16(std::uint64_t value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, value);
+  return buffer;
+}
+
+TEST(GoldenBytes, SaveBlobStepRecordsAndCheckpointPayload) {
+  // One session with a reach y and n step, a batch of at most 32 answers,
+  // a wider one, a choice of -1 and one of an index, whose first step
+  // diverges in a migration. Its bytes are pinned as the text format has
+  // always written them, whatever a session stores in memory.
+  RegisterMixedScriptPolicy();
+  const ServiceCase& c = ServiceCases().front();
+  const std::size_t n = c.hierarchy.NumNodes();
+  ASSERT_GE(n, 41u);
+  TempDir dir("golden");
+  EngineOptions options = NoTtlEngineOptions();
+  options.sessions.clock_millis = [] { return std::uint64_t{0}; };
+  options.migration.sweep_on_publish = false;
+  Engine engine(options);
+  CatalogConfig config = ConfigFor(c, {"mixed_script"});
+  config.distribution = OneHeavyNode(n, 5);
+  ASSERT_TRUE(engine.Publish(config).ok());
+  DurabilityOptions dopts;
+  dopts.dir = dir.path();
+  dopts.sync = {FsyncPolicy::kNone, 1};
+  dopts.checkpoint_every = 0;
+  dopts.wall_clock_millis = [] { return std::uint64_t{1700000000123}; };
+  ASSERT_TRUE(engine.EnableDurability(dopts).ok());
+
+  auto id = engine.Open("mixed_script");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  std::vector<bool> wide(40);
+  for (std::size_t i = 0; i < wide.size(); ++i) {
+    wide[i] = i % 3 == 0 || i == 39;
+  }
+  const std::vector<SessionAnswer> answers = {
+      SessionAnswer::Reach(true),   SessionAnswer::Reach(false),
+      SessionAnswer::Batch({true, false, true}),
+      SessionAnswer::Batch(wide),   SessionAnswer::Choice(-1),
+      SessionAnswer::Choice(1),
+  };
+  for (const SessionAnswer& answer : answers) {
+    ASSERT_TRUE(engine.Ask(*id).ok());
+    ASSERT_TRUE(engine.Answer(*id, answer).ok());
+  }
+  const std::string fp1 = Hex16(engine.snapshot()->fingerprint());
+  const std::string hfp = Hex16(engine.snapshot()->hierarchy_fingerprint());
+
+  config.distribution = OneHeavyNode(n, 11);
+  ASSERT_TRUE(engine.Publish(config).ok());
+  auto migrated = engine.Migrate(*id);
+  ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
+  EXPECT_EQ(migrated->divergent_steps, 1u);
+  const std::string fp2 = Hex16(engine.snapshot()->fingerprint());
+
+  const std::string steps =
+      "reach 7 n\n"
+      "batch 3+1+4 yny\n"
+      "batch 40+39+38+37+36+35+34+33+32+31+30+29+28+27+26+25+24+23+22+21+"
+      "20+19+18+17+16+15+14+13+12+11+10+9+8+7+6+5+4+3+2+1 "
+      "ynnynnynnynnynnynnynnynnynnynnynnynnynny\n"
+      "choice 6+2+9 -1\n"
+      "choice 10+12 1\n";
+  const std::string blob = "aigs-session/2\nfingerprint " + fp2 +
+                           "\nhierarchy " + hfp +
+                           "\nepoch 2\npolicy mixed_script\nsteps 6\n"
+                           "reach 5 y d\n" +
+                           steps + "end\n";
+  auto saved = engine.Save(*id);
+  ASSERT_TRUE(saved.ok());
+  EXPECT_EQ(*saved, blob);
+
+  // The live segment: the open record, one step record per Answer (no
+  // divergence flags: they are replay bookkeeping), and the migration's
+  // re-logged open record.
+  const std::string record_id = std::to_string(*id) + " 1700000000123";
+  std::vector<std::string> expected = {
+      "open " + record_id + "\naigs-session/2\nfingerprint " + fp1 +
+      "\nhierarchy " + hfp +
+      "\nepoch 1\npolicy mixed_script\nsteps 0\nend\n"};
+  const std::vector<std::string> step_lines = {
+      "reach 5 y\n", "reach 7 n\n", "batch 3+1+4 yny\n",
+      steps.substr(steps.find("batch 40"),
+                   steps.find("choice") - steps.find("batch 40")),
+      "choice 6+2+9 -1\n", "choice 10+12 1\n"};
+  for (std::size_t i = 0; i < step_lines.size(); ++i) {
+    expected.push_back("step " + record_id + " " + fp1 + " " +
+                       std::to_string(i) + " " + step_lines[i]);
+  }
+  expected.push_back("open " + record_id + "\n" + blob);
+  auto wal = ReadWal(NewestSegment(dir.path()));
+  ASSERT_TRUE(wal.ok());
+  EXPECT_EQ(wal->records, expected);
+
+  ASSERT_TRUE(engine.Checkpoint().ok());
+  std::string checkpoint;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    if (entry.path().extension() == ".ckpt") {
+      checkpoint = entry.path().string();
+    }
+  }
+  auto frames = ReadWal(checkpoint);
+  ASSERT_TRUE(frames.ok());
+  EXPECT_EQ(frames->records,
+            (std::vector<std::string>{
+                "meta 3 1700000000123 " + std::to_string(*id + 1),
+                "session " + record_id + "\n" + blob}));
 }
 
 TEST(DurableRecovery, EnableDurabilityRefusesExistingState) {
