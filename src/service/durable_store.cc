@@ -107,6 +107,19 @@ std::string& RecordHeader(const char* kind, SessionId id,
   return buffer;
 }
 
+/// "step <id> <wall_ms> <fingerprint> <index> " in the record buffer; the
+/// step's line follows.
+std::string& StepRecordHeader(SessionId id, std::uint64_t wall_ms,
+                              std::uint64_t fingerprint, std::size_t index) {
+  std::string& payload = RecordHeader("step", id, wall_ms);
+  payload += ' ';
+  AppendUint(fingerprint, &payload, 16, 16);
+  payload += ' ';
+  AppendUint(index, &payload);
+  payload += ' ';
+  return payload;
+}
+
 /// In-progress recovery state for one session.
 using SessionMap = std::map<SessionId, RecoveredSessionRecord>;
 
@@ -376,6 +389,14 @@ Status DurableStore::AppendRecord(std::string_view payload) {
   return status;
 }
 
+Status DurableStore::AppendOpen(SessionId id, const SessionHeader& header,
+                                const PackedTranscript& steps) {
+  std::string& payload = RecordHeader("open", id, NowWallMillis());
+  payload += '\n';
+  SessionCodec::Encode(header, steps, &payload);
+  return AppendRecord(payload);
+}
+
 Status DurableStore::AppendOpen(SessionId id, const SerializedSession& state) {
   std::string& payload = RecordHeader("open", id, NowWallMillis());
   payload += '\n';
@@ -384,14 +405,19 @@ Status DurableStore::AppendOpen(SessionId id, const SerializedSession& state) {
 }
 
 Status DurableStore::AppendStep(SessionId id, std::uint64_t fingerprint,
+                                const PackedTranscript& steps,
+                                std::size_t index) {
+  std::string& payload =
+      StepRecordHeader(id, NowWallMillis(), fingerprint, index);
+  SessionCodec::AppendStepKey(steps, index, &payload);
+  return AppendRecord(payload);
+}
+
+Status DurableStore::AppendStep(SessionId id, std::uint64_t fingerprint,
                                 std::size_t index,
                                 const TranscriptStep& step) {
-  std::string& payload = RecordHeader("step", id, NowWallMillis());
-  payload += ' ';
-  AppendUint(fingerprint, &payload, 16, 16);
-  payload += ' ';
-  AppendUint(index, &payload);
-  payload += ' ';
+  std::string& payload =
+      StepRecordHeader(id, NowWallMillis(), fingerprint, index);
   SessionCodec::AppendStepKey(step, &payload);
   return AppendRecord(payload);
 }
@@ -461,23 +487,24 @@ Status DurableStore::CommitCheckpoint(
   const std::string final_path = CheckpointPath(options_.dir, seq);
   std::error_code ec;
   fs::remove(tmp, ec);  // a leftover from an earlier crashed attempt
-  {
-    AIGS_ASSIGN_OR_RETURN(
-        std::unique_ptr<WalWriter> out,
-        WalWriter::Open(tmp, WalSyncOptions{FsyncPolicy::kNone, 1}));
-    AIGS_RETURN_NOT_OK(out->Append("meta " + std::to_string(seq) + " " +
-                                   std::to_string(NowWallMillis()) + " " +
-                                   std::to_string(next_id))
-                           .status());
-    for (const CheckpointSession& session : sessions) {
-      AIGS_RETURN_NOT_OK(
-          out->Append("session " + std::to_string(session.id) + " " +
-                      std::to_string(session.last_active_wall_ms) + "\n" +
-                      session.blob)
-              .status());
-    }
-    AIGS_RETURN_NOT_OK(out->Finish());
+  // Written once and never appended to: the frames go out in one buffer,
+  // not through a preallocated, mapped WalWriter segment.
+  std::string frames;
+  AppendWalFrame("meta " + std::to_string(seq) + " " +
+                     std::to_string(NowWallMillis()) + " " +
+                     std::to_string(next_id),
+                 &frames);
+  std::string payload;
+  for (const CheckpointSession& session : sessions) {
+    payload = "session ";
+    AppendUint(session.id, &payload);
+    payload += ' ';
+    AppendUint(session.last_active_wall_ms, &payload);
+    payload += '\n';
+    payload += session.blob;
+    AppendWalFrame(payload, &frames);
   }
+  AIGS_RETURN_NOT_OK(WriteWalFile(tmp, frames));
   ec.clear();
   fs::rename(tmp, final_path, ec);
   if (ec) {

@@ -130,11 +130,18 @@ class DurableStore {
   // ---- logging (thread-safe; callers order per-session records via the
   // ---- session mutex) -------------------------------------------------------
 
-  /// Logs session creation or wholesale replacement (Open/Resume/Migrate).
+  /// Logs session creation or wholesale replacement (Open/Resume/Migrate)
+  /// of a live session, encoded from its packed steps.
+  Status AppendOpen(SessionId id, const SessionHeader& header,
+                    const PackedTranscript& steps);
+  /// The same record for a decoded session.
   Status AppendOpen(SessionId id, const SerializedSession& state);
 
-  /// Logs one acked Answer. `index` is the step's transcript position;
-  /// `fingerprint` the session's catalog fingerprint.
+  /// Logs one acked Answer: step `index` of a live session's packed
+  /// transcript. `fingerprint` is the session's catalog fingerprint.
+  Status AppendStep(SessionId id, std::uint64_t fingerprint,
+                    const PackedTranscript& steps, std::size_t index);
+  /// The same record for a decoded step at transcript position `index`.
   Status AppendStep(SessionId id, std::uint64_t fingerprint,
                     std::size_t index, const TranscriptStep& step);
 

@@ -385,12 +385,21 @@ Query PlanThroughTrie(ServiceSession& session, bool counted) {
   if (cache == nullptr) {
     return session.search->Next();
   }
+  // A session plans once per answered step, so its position is still the
+  // last step's parent: walk that step's edge first. A step without an
+  // edge — a diverged replay step, or a batch too wide for the code —
+  // leaves the trie for the rest of the session.
+  std::optional<std::uint32_t> edge;
+  if (!session.transcript.empty() && session.plan_prefix != kNoPlanPrefix) {
+    edge = session.transcript.EdgeOf(session.transcript.size() - 1);
+    if (!edge.has_value()) {
+      session.plan_prefix = kNoPlanPrefix;
+    }
+  }
   std::optional<Query> hit =
-      session.has_plan_edge
-          ? cache->LookupChild(&session.plan_prefix, session.plan_edge,
-                               counted)
+      edge.has_value()
+          ? cache->LookupChild(&session.plan_prefix, *edge, counted)
           : cache->Lookup(session.plan_prefix, counted);
-  session.has_plan_edge = false;
   if (hit.has_value()) {
     return *std::move(hit);
   }
@@ -399,35 +408,105 @@ Query PlanThroughTrie(ServiceSession& session, bool counted) {
   return query;
 }
 
-/// Moves the session's rolling plan key along the edge `step` answered; the
-/// next PlanThroughTrie interns it. A step without an edge — a diverged
-/// replay step, or a batch too wide for the code — leaves the trie for the
-/// rest of the session.
-void AdvancePlanPrefix(ServiceSession& session, const TranscriptStep& step) {
-  AIGS_DCHECK(!session.has_plan_edge);  // every step was planned
-  if (session.plan_prefix == kNoPlanPrefix) {
-    return;
-  }
-  const std::optional<std::uint32_t> edge = PlanCache::EdgeOf(step);
-  if (!edge.has_value()) {
-    session.plan_prefix = kNoPlanPrefix;
-    return;
-  }
-  session.plan_edge = *edge;
-  session.has_plan_edge = true;
-}
-
-/// The session's complete serializable state (Save, WAL open records, and
-/// checkpoint blobs all encode exactly this). Caller holds the session
-/// mutex (or the session is still private).
-SerializedSession SnapshotState(const ServiceSession& session) {
-  SerializedSession out;
+/// What a Save blob, a WAL open record or a checkpoint blob records of
+/// the session besides its steps. Caller holds the session mutex (or the
+/// session is still private).
+SessionHeader HeaderOf(const ServiceSession& session) {
+  SessionHeader out;
   out.fingerprint = session.snapshot->fingerprint();
   out.hierarchy_fingerprint = session.snapshot->hierarchy_fingerprint();
   out.epoch = session.snapshot->epoch();
   out.policy_spec = session.policy_spec;
-  out.steps = session.transcript;
   return out;
+}
+
+std::string EncodeSession(const ServiceSession& session) {
+  std::string out;
+  SessionCodec::Encode(HeaderOf(session), session.transcript, &out);
+  return out;
+}
+
+Status LogOpen(DurableStore& store, SessionId id,
+               const ServiceSession& session) {
+  return store.AppendOpen(id, HeaderOf(session), session.transcript);
+}
+
+/// How ReplayTranscript treats a step the planner does not reproduce.
+enum class ReplayMode {
+  kExact,     // any divergence is an error (Resume's contract)
+  kTolerant,  // fold divergent steps via TryApplyObserved, up to budget
+};
+
+/// Step i of a decoded transcript, or of a packed one decoded into
+/// `*scratch`.
+const TranscriptStep& StepAt(const std::vector<TranscriptStep>& steps,
+                             std::size_t i, TranscriptStep*) {
+  return steps[i];
+}
+const TranscriptStep& StepAt(const PackedTranscript& steps, std::size_t i,
+                             TranscriptStep* scratch) {
+  steps.Decode(i, scratch);
+  return *scratch;
+}
+
+/// Replays `steps` (a decoded blob's or another session's packed
+/// transcript) into the freshly built `session` (search state, transcript,
+/// rolling plan key, trie population), taking each planned question from
+/// the trie when present. In kTolerant mode divergent steps are folded via
+/// TryApplyObserved and flagged; more than `max_divergence` of them fails
+/// the replay. `session` must be private to the caller (no lock taken).
+template <typename Steps>
+Status ReplayTranscript(ServiceSession& session, const Steps& steps,
+                        ReplayMode mode, std::size_t max_divergence,
+                        std::size_t* divergent_steps) {
+  const std::size_t num_nodes = session.snapshot->hierarchy().NumNodes();
+  std::size_t divergent = 0;
+  TranscriptStep scratch;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const TranscriptStep& step = StepAt(steps, i, &scratch);
+    AIGS_RETURN_NOT_OK(ValidateStepShape(step, num_nodes, i));
+    // Replays plan through the trie like Asks: a prefix some session
+    // already planned costs one probe, and a miss warms it for the rest.
+    const Query planned = PlanThroughTrie(session, /*counted=*/false);
+    bool diverged = false;
+    if (QuestionMatchesStep(planned, step)) {
+      // This epoch's planner reproduces it (after all, if it was flagged).
+      AIGS_RETURN_NOT_OK(ApplyMatchedStep(*session.search, step));
+    } else if (step.diverged) {
+      // Recorded divergence from an earlier migration: the step was never
+      // this epoch's plan, so fold it observed in BOTH modes (an exact
+      // Resume of a migrated session must round-trip) without charging the
+      // fresh-divergence budget it already passed once.
+      diverged = true;
+      AIGS_RETURN_NOT_OK(session.search->TryApplyObserved(step));
+    } else if (mode == ReplayMode::kExact) {
+      return Status::Internal(
+          "transcript replay diverged at step " + std::to_string(i) +
+          ": the snapshot no longer reproduces the saved question sequence");
+    } else {
+      ++divergent;
+      if (divergent > max_divergence) {
+        return Status::FailedPrecondition(
+            "migration divergence budget (" +
+            std::to_string(max_divergence) + ") exceeded at step " +
+            std::to_string(i) + " of " + std::to_string(steps.size()));
+      }
+      diverged = true;
+      // The planner would ask something else here; fold the recorded
+      // answer through the policy's observed-step applier instead.
+      AIGS_RETURN_NOT_OK(session.search->TryApplyObserved(step));
+    }
+    // A diverged step did not answer `planned`: its word carries no edge,
+    // so the next plan takes the session out of the trie.
+    session.transcript.Append(step, diverged);
+  }
+  if (divergent_steps != nullptr) {
+    // Surface the total divergence of the resulting transcript (recorded
+    // flags that persisted plus fresh ones); the budget above only charges
+    // the fresh ones.
+    *divergent_steps = session.transcript.NumDiverged();
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -608,7 +687,7 @@ StatusOr<SessionId> Engine::OpenImpl(const std::string& policy_spec,
                         InsertSession(session, proposed_id));
   if (DurableStore* store = durable_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(session->mutex);
-    if (const Status logged = store->AppendOpen(id, SnapshotState(*session));
+    if (const Status logged = LogOpen(*store, id, *session);
         !logged.ok()) {
       // Not durable ⇒ not acked: the id never reaches the client.
       (void)sessions_.Erase(id);
@@ -675,13 +754,11 @@ Status Engine::AnswerLocked(SessionId id, ServiceSession& session_ref,
         " answer, got " + KindName(answer.kind));
   }
 
-  TranscriptStep step;
-  step.kind = query.kind;
+  PackedTranscript& transcript = session->transcript;
   switch (query.kind) {
     case Query::Kind::kReach:
-      step.nodes = {query.node};
-      step.yes = answer.yes;
       session->search->OnReach(query.node, answer.yes);
+      transcript.AppendReach(query.node, answer.yes);
       break;
     case Query::Kind::kReachBatch:
       if (answer.batch.size() != query.choices.size()) {
@@ -690,13 +767,12 @@ Status Engine::AnswerLocked(SessionId id, ServiceSession& session_ref,
             " entries; the pending batch asks " +
             std::to_string(query.choices.size()) + " questions");
       }
-      step.nodes = query.choices;
-      step.batch_answers = answer.batch;
       // Content validation too: a mutually inconsistent round (it would
       // eliminate every candidate) bounces with InvalidArgument and leaves
       // the question pending — never the fatal in-process path.
       AIGS_RETURN_NOT_OK(
           session->search->TryOnReachBatch(query.choices, answer.batch));
+      transcript.AppendBatch(query.choices, answer.batch);
       break;
     case Query::Kind::kChoice:
       if (answer.choice < -1 ||
@@ -705,26 +781,21 @@ Status Engine::AnswerLocked(SessionId id, ServiceSession& session_ref,
             "choice answer " + std::to_string(answer.choice) +
             " outside [-1, " + std::to_string(query.choices.size()) + ")");
       }
-      step.nodes = query.choices;
-      step.choice = answer.choice;
       session->search->OnChoice(query.choices, answer.choice);
+      transcript.AppendChoice(query.choices, answer.choice);
       break;
     case Query::Kind::kDone:
       AIGS_CHECK(false);  // handled above
   }
-  // The step answers the question resolved at this prefix, so its answer
-  // names the child; the consumed plan is dropped.
-  AdvancePlanPrefix(*session, step);
+  // The consumed plan is dropped; the next one walks this step's edge.
   session->has_pending = false;
-  session->transcript.push_back(std::move(step));
   if (DurableStore* store = durable_.load(std::memory_order_acquire)) {
     // Logged under the session mutex so a session's step records hit the
     // WAL in transcript order. An IOError here means the step is applied
     // in memory but NOT acked durable — the error return tells the client
     // exactly that, and the store counts the degradation.
-    AIGS_RETURN_NOT_OK(store->AppendStep(
-        id, session->snapshot->fingerprint(),
-        session->transcript.size() - 1, session->transcript.back()));
+    AIGS_RETURN_NOT_OK(store->AppendStep(id, session->snapshot->fingerprint(),
+                                         transcript, transcript.size() - 1));
   }
   return Status::OK();
 }
@@ -733,61 +804,7 @@ StatusOr<std::string> Engine::SaveImpl(SessionId id) {
   AIGS_ASSIGN_OR_RETURN(const std::shared_ptr<ServiceSession> session,
                         FindSession(id));
   std::lock_guard<std::mutex> lock(session->mutex);
-  return SessionCodec::Encode(SnapshotState(*session));
-}
-
-Status Engine::ReplayTranscript(ServiceSession& session,
-                                std::vector<TranscriptStep> steps,
-                                ReplayMode mode, std::size_t max_divergence,
-                                std::size_t* divergent_steps) {
-  const std::size_t num_nodes = session.snapshot->hierarchy().NumNodes();
-  std::size_t divergent = 0;
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    TranscriptStep& step = steps[i];
-    AIGS_RETURN_NOT_OK(ValidateStepShape(step, num_nodes, i));
-    // Replays plan through the trie like Asks: a prefix some session
-    // already planned costs one probe, and a miss warms it for the rest.
-    const Query planned = PlanThroughTrie(session, /*counted=*/false);
-    if (QuestionMatchesStep(planned, step)) {
-      step.diverged = false;  // this epoch's planner reproduces it after all
-      AIGS_RETURN_NOT_OK(ApplyMatchedStep(*session.search, step));
-    } else if (step.diverged) {
-      // Recorded divergence from an earlier migration: the step was never
-      // this epoch's plan, so fold it observed in BOTH modes (an exact
-      // Resume of a migrated session must round-trip) without charging the
-      // fresh-divergence budget it already passed once.
-      AIGS_RETURN_NOT_OK(session.search->TryApplyObserved(step));
-    } else if (mode == ReplayMode::kExact) {
-      return Status::Internal(
-          "transcript replay diverged at step " + std::to_string(i) +
-          ": the snapshot no longer reproduces the saved question sequence");
-    } else {
-      ++divergent;
-      if (divergent > max_divergence) {
-        return Status::FailedPrecondition(
-            "migration divergence budget (" +
-            std::to_string(max_divergence) + ") exceeded at step " +
-            std::to_string(i) + " of " + std::to_string(steps.size()));
-      }
-      step.diverged = true;
-      // The planner would ask something else here; fold the recorded
-      // answer through the policy's observed-step applier instead.
-      AIGS_RETURN_NOT_OK(session.search->TryApplyObserved(step));
-    }
-    // A diverged step did not answer `planned`: the session leaves the trie.
-    AdvancePlanPrefix(session, step);
-    session.transcript.push_back(std::move(step));
-  }
-  if (divergent_steps != nullptr) {
-    // Surface the total divergence of the resulting transcript (recorded
-    // flags that persisted plus fresh ones); the budget above only charges
-    // the fresh ones.
-    *divergent_steps = 0;
-    for (const TranscriptStep& step : session.transcript) {
-      *divergent_steps += step.diverged ? 1 : 0;
-    }
-  }
-  return Status::OK();
+  return EncodeSession(*session);
 }
 
 StatusOr<SessionId> Engine::ResumeImpl(const std::string& serialized,
@@ -820,7 +837,7 @@ StatusOr<SessionId> Engine::ResumeImpl(const std::string& serialized,
                         InsertSession(session, proposed_id));
   if (DurableStore* store = durable_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(session->mutex);
-    if (const Status logged = store->AppendOpen(id, SnapshotState(*session));
+    if (const Status logged = LogOpen(*store, id, *session);
         !logged.ok()) {
       (void)sessions_.Erase(id);
       return logged;
@@ -877,8 +894,7 @@ StatusOr<MigrateResult> Engine::MigrateBlobImpl(const std::string& serialized,
   AIGS_ASSIGN_OR_RETURN(result.id, InsertSession(*session, proposed_id));
   if (DurableStore* store = durable_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock((*session)->mutex);
-    if (const Status logged =
-            store->AppendOpen(result.id, SnapshotState(**session));
+    if (const Status logged = LogOpen(*store, result.id, **session);
         !logged.ok()) {
       (void)sessions_.Erase(result.id);
       return logged;
@@ -934,8 +950,6 @@ StatusOr<MigrateResult> Engine::MigrateLocked(SessionId id,
   session.search = std::move(fresh.search);
   session.transcript = std::move(fresh.transcript);
   session.plan_prefix = fresh.plan_prefix;
-  session.has_plan_edge = fresh.has_plan_edge;
-  session.plan_edge = fresh.plan_edge;
   session.has_pending = false;
   // A question the client already saw may differ on the new epoch; force a
   // re-Ask instead of silently applying their answer to a new question.
@@ -947,7 +961,7 @@ StatusOr<MigrateResult> Engine::MigrateLocked(SessionId id,
     // divergence flags, so subsequent step records chain off this state.
     // Best-effort — an IOError leaves the WAL describing the pre-migration
     // prefix (still a consistent recovery) and is counted by the store.
-    (void)store->AppendOpen(id, SnapshotState(session));
+    (void)LogOpen(*store, id, session);
   }
   return result;
 }
@@ -1087,7 +1101,7 @@ Status Engine::CheckpointLocked(DurableStore& store) {
                                      : 0;
     {
       std::lock_guard<std::mutex> lock(entry.session->mutex);
-      record.blob = SessionCodec::Encode(SnapshotState(*entry.session));
+      record.blob = EncodeSession(*entry.session);
     }
     sessions.push_back(std::move(record));
   }

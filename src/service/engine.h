@@ -398,12 +398,6 @@ class Engine {
   EngineStats Stats() const;
 
  private:
-  /// How ReplayTranscript treats a step the planner does not reproduce.
-  enum class ReplayMode {
-    kExact,     // any divergence is an error (Resume's contract)
-    kTolerant,  // fold divergent steps via TryApplyObserved, up to budget
-  };
-
   /// Index into op_counts_ — one slot per public session operation.
   enum OpKind {
     kOpOpen = 0,
@@ -475,17 +469,6 @@ class Engine {
   /// then inserted for every later session at the same prefix). Caller
   /// holds the session mutex.
   Query ResolvePending(ServiceSession& session);
-
-  /// Replays `steps` into the freshly built `session` (search state,
-  /// transcript, rolling plan key, trie population), taking each planned
-  /// question from the trie when present. In kTolerant mode
-  /// divergent steps are folded via TryApplyObserved and flagged; more
-  /// than `max_divergence` of them fails the replay. `session` must be
-  /// private to the caller (no lock taken).
-  Status ReplayTranscript(ServiceSession& session,
-                          std::vector<TranscriptStep> steps, ReplayMode mode,
-                          std::size_t max_divergence,
-                          std::size_t* divergent_steps);
 
   /// Decodes, validates, and replays a saved blob for Migrate(serialized).
   StatusOr<std::shared_ptr<ServiceSession>> MigrateDecoded(

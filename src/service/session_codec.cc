@@ -11,16 +11,62 @@ namespace {
 constexpr const char kMagicV1[] = "aigs-session/1";
 constexpr const char kMagicV2[] = "aigs-session/2";
 
-std::string JoinNodes(const std::vector<NodeId>& nodes) {
-  std::string out;
-  for (const NodeId v : nodes) {
-    if (!out.empty()) {
-      out += '+';
+/// "<node>+<node>+..." followed by a space.
+void AppendNodeList(std::span<const NodeId> nodes, std::string* out) {
+  for (std::size_t j = 0; j < nodes.size(); ++j) {
+    if (j != 0) {
+      *out += '+';
     }
-    out += std::to_string(v);
+    AppendUint(nodes[j], out);
   }
-  return out;
+  *out += ' ';
 }
+
+void AppendReachKey(NodeId node, bool yes, std::string* out) {
+  out->append("reach ");
+  AppendUint(node, out);
+  out->append(yes ? " y\n" : " n\n");
+}
+
+/// `answer(j)` is the answer to nodes[j].
+template <typename AnswerAt>
+void AppendBatchKey(std::span<const NodeId> nodes, std::size_t num_answers,
+                    AnswerAt answer, std::string* out) {
+  out->append("batch ");
+  AppendNodeList(nodes, out);
+  for (std::size_t j = 0; j < num_answers; ++j) {
+    *out += answer(j) ? 'y' : 'n';
+  }
+  *out += '\n';
+}
+
+void AppendChoiceKey(std::span<const NodeId> choices, int choice,
+                     std::string* out) {
+  out->append("choice ");
+  AppendNodeList(choices, out);
+  *out += std::to_string(choice);
+  *out += '\n';
+}
+
+void AppendHeader(const SessionHeader& header, std::size_t num_steps,
+                  std::string* out) {
+  *out += kMagicV2;
+  *out += '\n';
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "fingerprint %016" PRIx64 "\n",
+                header.fingerprint);
+  *out += buffer;
+  std::snprintf(buffer, sizeof(buffer), "hierarchy %016" PRIx64 "\n",
+                header.hierarchy_fingerprint);
+  *out += buffer;
+  *out += "epoch " + std::to_string(header.epoch) + "\n";
+  *out += "policy " + header.policy_spec + "\n";
+  *out += "steps " + std::to_string(num_steps) + "\n";
+}
+
+/// The divergence flag rides after the content fields, so flagged and
+/// unflagged lines share the AppendStepKey prefix.
+void MarkDiverged(std::string* out) { out->insert(out->size() - 1, " d"); }
 
 StatusOr<std::vector<NodeId>> ParseNodes(std::string_view text) {
   std::vector<NodeId> nodes;
@@ -74,49 +120,63 @@ StatusOr<std::uint64_t> ParseHexDigest(std::string_view text) {
 }  // namespace
 
 std::string SessionCodec::Encode(const SerializedSession& session) {
-  std::string out = std::string(kMagicV2) + "\n";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "fingerprint %016" PRIx64 "\n",
-                session.fingerprint);
-  out += buffer;
-  std::snprintf(buffer, sizeof(buffer), "hierarchy %016" PRIx64 "\n",
-                session.hierarchy_fingerprint);
-  out += buffer;
-  out += "epoch " + std::to_string(session.epoch) + "\n";
-  out += "policy " + session.policy_spec + "\n";
-  out += "steps " + std::to_string(session.steps.size()) + "\n";
+  std::string out;
+  AppendHeader(session, session.steps.size(), &out);
   for (const TranscriptStep& step : session.steps) {
     AppendStepKey(step, &out);
     if (step.diverged) {
-      // The flag rides after the content fields so flagged and unflagged
-      // lines share the AppendStepKey prefix (and hence the trie edges).
-      out.insert(out.size() - 1, " d");
+      MarkDiverged(&out);
     }
   }
   out += "end\n";
   return out;
 }
 
+void SessionCodec::Encode(const SessionHeader& header,
+                          const PackedTranscript& steps, std::string* out) {
+  AppendHeader(header, steps.size(), out);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    AppendStepKey(steps, i, out);
+    if (steps.diverged(i)) {
+      MarkDiverged(out);
+    }
+  }
+  *out += "end\n";
+}
+
 void SessionCodec::AppendStepKey(const TranscriptStep& step,
                                  std::string* out) {
   switch (step.kind) {
     case Query::Kind::kReach:
-      // The per-Answer WAL record encodes this line: no temporaries.
-      out->append("reach ");
-      AppendUint(step.nodes[0], out);
-      out->append(step.yes ? " y\n" : " n\n");
+      AppendReachKey(step.nodes[0], step.yes, out);
       break;
-    case Query::Kind::kReachBatch: {
-      std::string pattern;
-      for (const bool yes : step.batch_answers) {
-        pattern += yes ? 'y' : 'n';
-      }
-      *out += "batch " + JoinNodes(step.nodes) + " " + pattern + "\n";
+    case Query::Kind::kReachBatch:
+      AppendBatchKey(
+          step.nodes, step.batch_answers.size(),
+          [&](std::size_t j) { return step.batch_answers[j]; }, out);
       break;
-    }
     case Query::Kind::kChoice:
-      *out += "choice " + JoinNodes(step.nodes) + " " +
-              std::to_string(step.choice) + "\n";
+      AppendChoiceKey(step.nodes, step.choice, out);
+      break;
+    case Query::Kind::kDone:
+      AIGS_CHECK(false && "kDone never appears in a transcript");
+  }
+}
+
+void SessionCodec::AppendStepKey(const PackedTranscript& steps, std::size_t i,
+                                 std::string* out) {
+  switch (steps.kind(i)) {
+    case Query::Kind::kReach:
+      // The per-Answer WAL record encodes this line: no temporaries.
+      AppendReachKey(steps.node(i), steps.yes(i), out);
+      break;
+    case Query::Kind::kReachBatch:
+      AppendBatchKey(
+          steps.nodes(i), steps.nodes(i).size(),
+          [&](std::size_t j) { return steps.batch_answer(i, j); }, out);
+      break;
+    case Query::Kind::kChoice:
+      AppendChoiceKey(steps.nodes(i), steps.choice(i), out);
       break;
     case Query::Kind::kDone:
       AIGS_CHECK(false && "kDone never appears in a transcript");

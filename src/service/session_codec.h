@@ -37,19 +37,24 @@
 #include <vector>
 
 #include "core/policy.h"
+#include "service/packed_transcript.h"
 #include "util/status.h"
 
 namespace aigs {
 
-/// Decoded form of a saved session. (TranscriptStep itself lives in
-/// core/policy.h — it is also the unit of divergence-tolerant replay.)
-struct SerializedSession {
+/// Everything a saved session records besides its steps.
+struct SessionHeader {
   std::uint64_t fingerprint = 0;
   /// Digest of the hierarchy structure alone (0 for v1 blobs, which
   /// predate it).
   std::uint64_t hierarchy_fingerprint = 0;
   std::uint64_t epoch = 0;
   std::string policy_spec;
+};
+
+/// Decoded form of a saved session. (TranscriptStep itself lives in
+/// core/policy.h — it is also the unit of divergence-tolerant replay.)
+struct SerializedSession : SessionHeader {
   std::vector<TranscriptStep> steps;
 };
 
@@ -57,6 +62,10 @@ struct SerializedSession {
 class SessionCodec {
  public:
   static std::string Encode(const SerializedSession& session);
+  /// Appends the encoding of a live session — its header and its packed
+  /// steps — to `*out`: the same bytes Encode writes for the decoded view.
+  static void Encode(const SessionHeader& header,
+                     const PackedTranscript& steps, std::string* out);
   /// Rejects malformed input with InvalidArgument; never aborts. Accepts
   /// both aigs-session/1 and aigs-session/2 input.
   static StatusOr<SerializedSession> Decode(const std::string& text);
@@ -66,6 +75,10 @@ class SessionCodec {
   /// is replay bookkeeping, not transcript content) to `*out`. WAL step
   /// records carry these lines.
   static void AppendStepKey(const TranscriptStep& step, std::string* out);
+  /// The same line for step `i` of a packed transcript, written straight
+  /// from its word (and side list): no temporaries.
+  static void AppendStepKey(const PackedTranscript& steps, std::size_t i,
+                            std::string* out);
 
   /// Parses one step line (the AppendStepKey encoding, with or without the
   /// trailing divergence flag and/or newline) back into a TranscriptStep —

@@ -26,6 +26,7 @@
 
 #include "core/policy.h"
 #include "service/catalog_snapshot.h"
+#include "service/packed_transcript.h"
 #include "service/plan_cache.h"
 #include "service/session_codec.h"
 #include "util/status.h"
@@ -57,13 +58,15 @@ struct ServiceSession {
 
   std::mutex mutex;
   std::unique_ptr<SearchSession> search;
-  std::vector<TranscriptStep> transcript;
-  /// Interned trie position for the transcript so far — the O(1) rolling
-  /// plan key (kNoPlanPrefix when caching is off or the session left the
-  /// trie at a diverged step). While `has_plan_edge`, the position is the
-  /// child of `plan_prefix` along `plan_edge`, the last answer's code: the
-  /// next plan interns that child and reads its question under one stripe
-  /// lock (PlanCache::LookupChild), so an Answer never touches the trie.
+  /// One 8-byte word per answered step (PackedTranscript).
+  PackedTranscript transcript;
+  /// Interned trie position — the O(1) rolling plan key (kNoPlanPrefix
+  /// when caching is off or the session left the trie at a step without
+  /// an edge). Until the next question is planned, the position is the
+  /// last step's parent: that plan walks the last step's answer code
+  /// (PackedTranscript::EdgeOf) and reads the child's question under one
+  /// stripe lock (PlanCache::LookupChild), so an Answer never touches the
+  /// trie.
   PlanPrefixId plan_prefix = kNoPlanPrefix;
   /// The question Ask last resolved (from the cache or the planner), so the
   /// matching Answer validates and applies without a second resolution.
@@ -73,9 +76,6 @@ struct ServiceSession {
   /// been shown: the next Answer is rejected until the client re-Asks (the
   /// new epoch's planner may pose a different question).
   bool reask_after_migration = false;
-  // Beside the flags above, so the edge fits in their padding.
-  bool has_plan_edge = false;
-  std::uint32_t plan_edge = 0;
 };
 
 struct SessionManagerOptions {

@@ -47,6 +47,12 @@ Status Errno(const std::string& what, const std::string& path) {
   return Status::IOError(what + " '" + path + "': " + std::strerror(errno));
 }
 
+/// The u32 length and u32 CRC-32 in front of `payload`.
+void PutFrameHeader(std::string_view payload, char* header) {
+  PutU32(static_cast<std::uint32_t>(payload.size()), header);
+  PutU32(Crc32(payload), header + 4);
+}
+
 }  // namespace
 
 StatusOr<WalSyncOptions> ParseFsyncPolicy(std::string_view text) {
@@ -204,8 +210,7 @@ void WalWriter::Unmap() {
 
 StatusOr<std::uint64_t> WalWriter::Append(std::string_view payload) {
   char header[kFrameHeader];
-  PutU32(static_cast<std::uint32_t>(payload.size()), header);
-  PutU32(Crc32(payload), header + 4);
+  PutFrameHeader(payload, header);
 
   std::unique_lock<std::mutex> lock(mu_);
   const std::uint64_t start = bytes_;
@@ -301,6 +306,42 @@ std::uint64_t WalWriter::records() const {
 std::uint64_t WalWriter::syncs() const {
   std::lock_guard<std::mutex> lock(mu_);
   return syncs_;
+}
+
+void AppendWalFrame(std::string_view payload, std::string* out) {
+  char header[kFrameHeader];
+  PutFrameHeader(payload, header);
+  out->append(header, kFrameHeader);
+  out->append(payload);
+}
+
+Status WriteWalFile(const std::string& path, std::string_view frames) {
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    return Errno("cannot create", path);
+  }
+  while (!frames.empty()) {
+    const ssize_t n = ::write(fd, frames.data(), frames.size());
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      const Status status = Errno("cannot write", path);
+      ::close(fd);
+      return status;
+    }
+    frames.remove_prefix(static_cast<std::size_t>(n));
+  }
+  if (::fsync(fd) != 0) {
+    const Status status = Errno("cannot fsync", path);
+    ::close(fd);
+    return status;
+  }
+  if (::close(fd) != 0) {
+    return Errno("cannot close", path);
+  }
+  return Status::OK();
 }
 
 StatusOr<WalScan> ReadWal(const std::string& path) {

@@ -147,6 +147,16 @@ class WalWriter {
   std::uint64_t syncs_ = 0;
 };
 
+/// Appends one frame to `*out`, laid out byte for byte as
+/// WalWriter::Append writes it.
+void AppendWalFrame(std::string_view payload, std::string* out);
+
+/// Writes `frames` (AppendWalFrame output) as the whole of a new file at
+/// `path` (truncating any old one) and fsyncs it: the path for files
+/// written once and never appended to, such as checkpoints. No
+/// preallocation, no mapping — one write(2) in the common case.
+Status WriteWalFile(const std::string& path, std::string_view frames);
+
 /// Every valid record of one WAL file, plus what the torn tail looked like.
 struct WalScan {
   std::vector<std::string> records;

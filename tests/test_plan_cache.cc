@@ -532,6 +532,71 @@ TEST(PlanCacheUnit, EdgesAreKeyedByAnswerCode) {
   EXPECT_FALSE(PlanCache::EdgeOf(reach).has_value());
 }
 
+TEST(PackedTranscriptUnit, EveryStepDecodesEncodesAndKeepsItsEdge) {
+  constexpr auto kReach = Query::Kind::kReach;
+  constexpr auto kBatch = Query::Kind::kReachBatch;
+  constexpr auto kChoice = Query::Kind::kChoice;
+  const auto pattern = [](std::size_t n) {
+    std::vector<bool> answers(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      answers[j] = j % 3 == 0 || j + 1 == n;
+    }
+    return answers;
+  };
+  const auto nodes = [](std::size_t n) {
+    std::vector<NodeId> out(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      out[j] = static_cast<NodeId>(1000 - j);
+    }
+    return out;
+  };
+  const std::vector<TranscriptStep> steps = {
+      {kReach, {4294967294u}, true, {}, -1, false},
+      {kReach, {0}, false, {}, -1, true},
+      {kBatch, {1, 2, 3}, false, {true, false, true}, -1, false},
+      {kBatch, nodes(32), false, std::vector<bool>(32, true), -1, false},
+      {kBatch, nodes(33), false, pattern(33), -1, false},
+      {kBatch, nodes(70), false, pattern(70), -1, true},
+      {kChoice, {2, 5, 9}, false, {}, -1, false},
+      {kChoice, {2, 5, 9}, false, {}, 2, true},
+      {kChoice, {7}, false, {}, 0, false},
+      {kReach, {12}, true, {}, -1, false},
+  };
+  PackedTranscript packed;
+  for (const TranscriptStep& step : steps) {
+    packed.Append(step, step.diverged);
+  }
+  const PackedTranscript moved = std::move(packed);
+  ASSERT_EQ(moved.size(), steps.size());
+  EXPECT_EQ(moved.NumDiverged(), 3u);
+  TranscriptStep decoded;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    SCOPED_TRACE(i);
+    moved.Decode(i, &decoded);
+    EXPECT_EQ(decoded, steps[i]);
+    EXPECT_EQ(moved.EdgeOf(i), PlanCache::EdgeOf(steps[i]));
+    std::string from_step;
+    std::string from_word;
+    SessionCodec::AppendStepKey(steps[i], &from_step);
+    SessionCodec::AppendStepKey(moved, i, &from_word);
+    EXPECT_EQ(from_word, from_step);
+  }
+}
+
+TEST(PackedTranscriptUnit, GrowsOneWordPerReachStep) {
+  PackedTranscript packed;
+  for (NodeId i = 0; i < 1000; ++i) {
+    packed.AppendReach(i, i % 2 == 0);
+  }
+  ASSERT_EQ(packed.size(), 1000u);
+  for (NodeId i = 0; i < 1000; ++i) {
+    EXPECT_EQ(packed.kind(i), Query::Kind::kReach);
+    EXPECT_EQ(packed.node(i), i);
+    EXPECT_EQ(packed.yes(i), i % 2 == 0);
+    EXPECT_FALSE(packed.diverged(i));
+  }
+}
+
 TEST(PlanCacheUnit, ReachNodesStayWithinNinetySixBytes) {
   PlanCache cache(PlanCacheOptions{});
   PlanPrefixId id = cache.RootFor("greedy");

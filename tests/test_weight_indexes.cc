@@ -354,5 +354,79 @@ TEST(SessionMemory, TreeSessionsHoldOnlyTheirRemovals) {
       << n << " nodes, 10 answers";
 }
 
+// Runs an Engine session to Done, answering truthfully for `target`;
+// returns the number of questions answered.
+std::size_t SearchToDone(Engine& engine, SessionId id,
+                         const ReachabilityIndex& reach, NodeId target) {
+  ExactOracle oracle(reach, target);
+  std::size_t answered = 0;
+  for (;;) {
+    const StatusOr<Query> q = engine.Ask(id);
+    AIGS_CHECK(q.ok());
+    if (q->kind == Query::Kind::kDone) {
+      AIGS_CHECK(q->node == target);
+      return answered;
+    }
+    AIGS_CHECK(engine.Answer(id, AnswerFromOracle(*q, oracle)).ok());
+    ++answered;
+  }
+}
+
+TEST(SessionMemory, EngineSessionsAtFullDepth) {
+#ifdef AIGS_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+#endif
+  // Everything a live Engine session holds once its search is done: the
+  // policy session, the service session and its transcript, and its entry
+  // in the session map. The plan cache is off, so no trie node is charged.
+  constexpr std::size_t kSessions = 64;
+  for (const bool dag : {true, false}) {
+    SCOPED_TRACE(dag ? "dag" : "tree");
+    const CatalogParams params = BigCatalogParams(100'000);
+    const Hierarchy h = *Hierarchy::Build(
+        dag ? GenerateCatalogDag(params) : GenerateCatalogTree(params));
+    const std::size_t n = h.NumNodes();
+    EngineOptions options;
+    options.plan_cache.enabled = false;
+    options.sessions.ttl_millis = 0;
+    options.migration.sweep_on_publish = false;
+    Engine engine(options);
+    CatalogConfig config;
+    config.hierarchy = UnownedHierarchy(h);
+    config.distribution = AssignZipfObjectCounts(n, 4 * n, 1.0, 7);
+    config.policy_specs = {"greedy"};
+    ASSERT_TRUE(engine.Publish(std::move(config)).ok());
+
+    // Warm-up: the planning thread's memo of candidate views (up to
+    // kMaxViews, at most 2 MiB) is allocated once per thread, not per
+    // session, so fill it before the baseline reading.
+    for (std::size_t i = 0; i < PlannerScratch::kMaxViews; ++i) {
+      const StatusOr<SessionId> id = engine.Open("greedy");
+      ASSERT_TRUE(id.ok());
+      SearchToDone(engine, *id, h.reach(),
+                   static_cast<NodeId>((i * 104729) % n));
+      ASSERT_TRUE(engine.Close(*id).ok());
+    }
+
+    std::vector<SessionId> ids;
+    ids.reserve(kSessions);
+    std::size_t questions = 0;
+    const std::size_t before = HeapBytesInUse();
+    for (std::size_t i = 0; i < kSessions; ++i) {
+      const StatusOr<SessionId> id = engine.Open("greedy");
+      ASSERT_TRUE(id.ok());
+      ids.push_back(*id);
+      questions += SearchToDone(engine, *id, h.reach(),
+                                static_cast<NodeId>((i * 7919) % n));
+    }
+    const std::size_t after = HeapBytesInUse();
+    const std::size_t per_session =
+        after > before ? (after - before) / kSessions : 0;
+    EXPECT_LE(per_session, dag ? 1536u : 4096u)
+        << n << " nodes, " << questions / kSessions
+        << " answers per session on average";
+  }
+}
+
 }  // namespace
 }  // namespace aigs
